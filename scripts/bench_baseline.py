@@ -47,11 +47,8 @@ import numpy as np
 from repro.graphs import ring_based
 from repro.harness.figures import fig12_heterogeneity
 from repro.harness.io import atomic_write_json
-from repro.harness.parallel import default_jobs, default_shards
-from repro.harness.profiling import (
-    sharded_events_per_sec,
-    sim_core_events_per_sec,
-)
+from repro.harness.parallel import default_jobs
+from repro.harness.profiling import sim_core_events_per_sec
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.workloads import svm_workload
 from repro.ml.layers import Conv2D, MaxPool2D
@@ -179,34 +176,6 @@ def _visible_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def sharded_bench(shards: int = 2) -> dict:
-    """Sharded-engine events/sec, annotated with shard + CPU counts.
-
-    Runs the windowed ticker workload at one shard (the honest
-    baseline: same engine, same windows, no fabric) and at ``shards``.
-    A multi-core speedup is asserted only when more than one CPU is
-    actually visible to this process — on a single-core container the
-    multi-shard number legitimately reports the coordination tax, and
-    the recorded ``sharded_bench_visible_cpus`` tells readers which
-    regime the row was measured in.
-    """
-    visible = _visible_cpus()
-    single = sharded_events_per_sec(n_shards=1)
-    multi = sharded_events_per_sec(n_shards=shards)
-    if visible > 1 and multi <= single:
-        raise SystemExit(
-            f"sharded engine shows no speedup on {visible} visible "
-            f"CPUs: {multi:,.0f}/s at {shards} shards vs "
-            f"{single:,.0f}/s at 1"
-        )
-    return {
-        "sharded_events_per_sec": round(multi),
-        "sharded_1shard_events_per_sec": round(single),
-        "sharded_bench_shards": shards,
-        "sharded_bench_visible_cpus": visible,
-    }
-
-
 def service_load_bench() -> dict:
     """Concurrent-client load against an in-process experiment service.
 
@@ -307,7 +276,6 @@ def main(argv=None) -> int:
     current.update(fig24_cell_bench())
     current.update(fig25_bench())
     current.update(sim_core_bench())
-    current.update(sharded_bench())
     current.update(service_load_bench())
     current.update(conv_microbench())
     current.update(pool_microbench())
@@ -341,14 +309,10 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "default_jobs": default_jobs(),
-            "default_shards": default_shards(),
         },
         "workload": "fig12_heterogeneity(preset='bench', workload_name='cnn')"
                     " + fig24 hop/64 scaling cell (svm bench, 40 iters,"
                     " light trace) + sim-core events/sec"
-                    " + sharded-engine events/sec (1 shard vs"
-                    " sharded_bench_shards shards; speedup asserted only"
-                    " when >1 CPU is visible)"
                     " + service load bench (4 concurrent HTTP clients,"
                     " cold compute round then warm cache round)"
                     " + bench-preset conv/pool kernel shapes (float32)",

@@ -424,6 +424,13 @@ class ADPSGDCluster(ProtocolCluster):
         )
 
 
+def check_bipartite(topology: Topology, knobs) -> None:
+    """Registry ``check`` for gossip protocols: the active/passive split
+    the cluster makes at build time, which raises ``TopologyError``
+    naming a non-bipartite graph."""
+    topology.bipartite_sets()
+
+
 def _build_adpsgd(spec) -> ADPSGDCluster:
     return ADPSGDCluster(
         topology=spec.topology,
@@ -440,4 +447,5 @@ register_protocol(
     "(unbounded gap)",
     paper="Lian et al. — ICML 2018 (arXiv:1710.06952)",
     elastic=True,  # gossip survives churn: partners re-resolve per epoch
+    check=check_bipartite,
 )

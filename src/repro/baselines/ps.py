@@ -222,6 +222,18 @@ def _make_ps_membership(env, view, plan, max_iter, gap, cluster):
     return _PSMembership(env, view, plan, max_iter, gap=gap)
 
 
+def check_ps_config(
+    mode: str, n_workers: int, n_backup: int, staleness: int
+) -> None:
+    """Raise ``ValueError`` for PS knobs the cluster cannot run."""
+    if mode not in ("bsp", "async", "ssp"):
+        raise ValueError(f"unknown PS mode {mode!r}")
+    if n_backup < 0 or n_backup >= n_workers:
+        raise ValueError("n_backup must be in [0, n_workers)")
+    if mode == "ssp" and staleness < 1:
+        raise ValueError("ssp needs staleness >= 1")
+
+
 class ParameterServerCluster(ProtocolCluster):
     """Centralized training deployment.
 
@@ -267,12 +279,7 @@ class ParameterServerCluster(ProtocolCluster):
         topology=None,
         compression=None,
     ) -> None:
-        if mode not in ("bsp", "async", "ssp"):
-            raise ValueError(f"unknown PS mode {mode!r}")
-        if n_backup < 0 or n_backup >= n_workers:
-            raise ValueError("n_backup must be in [0, n_workers)")
-        if mode == "ssp" and staleness < 1:
-            raise ValueError("ssp needs staleness >= 1")
+        check_ps_config(mode, n_workers, n_backup, staleness)
         super().__init__(
             n_workers=n_workers,
             model_factory=model_factory,
@@ -726,6 +733,15 @@ def _builder(mode: str):
     return _build
 
 
+def _checker(mode: str):
+    def _check(topology, knobs) -> None:
+        check_ps_config(
+            mode, topology.n, knobs["ps_backup"], knobs["ps_staleness"]
+        )
+
+    return _check
+
+
 # The PS protocols share HetPipe-style elasticity (Park et al.,
 # arXiv:2005.14038): the parameter vector is sharded per founding
 # member, leaves fail shards over to the live set and release stale
@@ -738,6 +754,7 @@ register_protocol(
     paper="Li et al. — OSDI 2014; Chen et al. — arXiv:1604.00981",
     aliases=("ps",),
     elastic=True,
+    check=_checker("bsp"),
 )
 register_protocol(
     "ps-async",
@@ -745,6 +762,7 @@ register_protocol(
     summary="Parameter server, fully asynchronous (Hogwild-style)",
     paper="Dean et al. — NeurIPS 2012",
     elastic=True,
+    check=_checker("async"),
 )
 register_protocol(
     "ps-ssp",
@@ -753,4 +771,5 @@ register_protocol(
     "bound)",
     paper="Ho et al. — NeurIPS 2013",
     elastic=True,
+    check=_checker("ssp"),
 )

@@ -72,15 +72,6 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
-def _shards_arg(value: str) -> int:
-    shards = int(value)
-    if shards < 0:
-        raise argparse.ArgumentTypeError(
-            f"shards must be >= 0, got {shards}"
-        )
-    return shards
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     set_default_jobs(args.jobs)
     names = args.only or sorted(ALL_FIGURES)
@@ -279,17 +270,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         compression=compression,
     )
     try:
-        if args.shards is not None or _env_shards_requested():
-            from repro.harness.sharded import run_spec_sharded
-
-            run = run_spec_sharded(spec, shards=args.shards)
-        else:
-            run = run_spec(spec)
+        run = run_spec(spec)
     except ValueError as error:
         # Foreseeable spec mistakes (hop-only crash family on another
-        # protocol, out-of-range crash worker, bad scenario knobs,
-        # un-shardable spec with --shards > 1) surface as one-line
-        # errors like every other flag misuse.
+        # protocol, out-of-range crash worker, bad scenario knobs)
+        # surface as one-line errors like every other flag misuse.
         raise SystemExit(f"error: {error}")
     print(run.summary())
     if args.out:
@@ -298,15 +283,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         path = save_run(run, args.out)
         print(f"run summary written to {path}")
     return 0
-
-
-def _env_shards_requested() -> bool:
-    """True when ``REPRO_SHARDS`` (or ``set_default_shards``) asks for
-    sharding — so plain ``repro train`` stays byte-for-byte on the
-    historical path unless sharding was requested somewhere."""
-    from repro.harness.parallel import default_shards
-
-    return default_shards() > 1
 
 
 def _cmd_protocols(args: argparse.Namespace) -> int:
@@ -412,25 +388,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.harness.profiling import (
-        profile_spec,
-        sharded_events_per_sec,
-        sim_core_events_per_sec,
-    )
-    from repro.harness.sharded import resolve_shards
+    from repro.harness.profiling import profile_spec, sim_core_events_per_sec
     from repro.protocols.base import LIGHT_TRACE
 
-    n_shards = resolve_shards(args.shards)
     if args.engine_only:
-        if n_shards > 1:
-            rate = sharded_events_per_sec(n_shards=n_shards)
-            print(
-                f"sharded-engine microbenchmark ({n_shards} shards): "
-                f"{rate:,.0f} events/sec"
-            )
-        else:
-            rate = sim_core_events_per_sec()
-            print(f"sim-core microbenchmark: {rate:,.0f} events/sec")
+        rate = sim_core_events_per_sec()
+        print(f"sim-core microbenchmark: {rate:,.0f} events/sec")
         return 0
 
     workload = workload_by_name(args.workload, args.preset)
@@ -449,9 +412,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"{args.iterations} iterations ({args.workload}/{args.preset})..."
     )
     try:
-        report = profile_spec(
-            spec, sort=args.sort, limit=args.limit, shards=n_shards
-        )
+        report = profile_spec(spec, sort=args.sort, limit=args.limit)
     except ValueError as error:
         raise SystemExit(f"error: {error}")
     print(report.render())
@@ -676,12 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--compression topk --compression-param ratio=0.01",
     )
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument(
-        "--shards", type=_shards_arg, default=None, metavar="N",
-        help="partition the simulation across N shard processes "
-             "(hop + timing-only scenarios; bit-identical to an "
-             "un-sharded run; 0 = auto via REPRO_SHARDS, default 1)",
-    )
     train.add_argument("--out", help="write a JSON run summary here")
     train.set_defaults(func=_cmd_train)
 
@@ -719,12 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine-only", action="store_true",
         help="skip the training run; only the bare-engine events/sec "
              "microbenchmark",
-    )
-    profile.add_argument(
-        "--shards", type=_shards_arg, default=None, metavar="N",
-        help="profile a sharded run (per-shard event counts and "
-             "idle/sync-wait rows); with --engine-only, benchmark the "
-             "sharded engine instead of the single-core loop",
     )
     profile.set_defaults(func=_cmd_profile)
 

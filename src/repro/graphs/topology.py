@@ -455,61 +455,3 @@ class Topology:
             else f" active={len(self.active)}/{self.n} epoch={self.epoch}"
         )
         return f"<Topology {self.name!r} n={self.n} edges={n_edges}{membership}>"
-
-
-# ----------------------------------------------------------------------
-# Region partitioning (the sharded engine's ownership map)
-# ----------------------------------------------------------------------
-def region_partition(
-    topology: Topology, n_shards: int
-) -> Tuple[Tuple[int, ...], ...]:
-    """Partition the *active* workers into ``n_shards`` contiguous regions.
-
-    The sharded engine (:mod:`repro.sim.sharded`) assigns each region
-    to one shard process; the region map is the ownership contract for
-    the shared-memory parameter plane, so it must be a function of the
-    topology alone:
-
-    * **Coverage**: every active worker lands in exactly one region;
-      inactive (departed) workers land in none.
-    * **Determinism**: regions depend only on the active *set* — the
-      order members were added or removed can never change the split
-      (``active`` is a frozenset; we sort it).
-    * **Balance**: region sizes differ by at most one.
-
-    Contiguous id blocks are the right default for this repo's
-    topologies: ring/ring-based graphs connect adjacent ids, so block
-    partitions also minimize cross-shard edges there.
-
-    Returns:
-        A tuple of ``n_shards`` sorted worker-id tuples.  Shards beyond
-        the active population are empty tuples (a 5-shard split of 3
-        workers is 3 singletons + 2 empties), so shard indices stay
-        stable as membership churns.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    members = topology.active_nodes()
-    base, extra = divmod(len(members), n_shards)
-    regions: List[Tuple[int, ...]] = []
-    start = 0
-    for shard in range(n_shards):
-        size = base + (1 if shard < extra else 0)
-        regions.append(tuple(members[start : start + size]))
-        start += size
-    return tuple(regions)
-
-
-def region_owner_map(
-    regions: Sequence[Sequence[int]],
-) -> Dict[int, int]:
-    """Invert a region partition into ``{worker_id: shard_index}``."""
-    owners: Dict[int, int] = {}
-    for shard, region in enumerate(regions):
-        for wid in region:
-            if wid in owners:
-                raise ValueError(
-                    f"worker {wid} appears in shards {owners[wid]} and {shard}"
-                )
-            owners[wid] = shard
-    return owners

@@ -1058,27 +1058,22 @@ def fig24_scaling(
         f"({scale_factor:.0f}x workers)",
     )
     # ------------------------------------------------------------------
-    # Sharded scale tier: 1024+ workers through the sharded engine
+    # Scale tier: hop alone at 1024+ workers
     # ------------------------------------------------------------------
     # The grid above tops out at 128 workers because every cell runs
     # three protocols at full iteration count.  This tier pushes hop
-    # alone to the 1024+ sizes the sharded engine (PR 10) targets, at a
-    # few iterations, through ``run_spec_sharded`` — recording the real
-    # wall-clock cost per cell.  Results are bit-identical to an
-    # un-sharded run by the sharded-engine contract, so the rows are
-    # deterministic; elapsed_seconds is the machine-dependent part.
-    from repro.harness.sharded import run_spec_sharded
-
+    # alone to 1024+ workers at a few iterations, recording the real
+    # wall-clock cost per cell; elapsed_seconds is the
+    # machine-dependent part, every simulated quantity is deterministic.
     scale_sizes = {
         "smoke": (256,),
         "bench": (1024,),
         "paper": (1024, 2048, 4096),
     }[preset]
     scale_iters = min(max_iter, 3)
-    scale_shards = 2
     for n in scale_sizes:
         spec = ExperimentSpec(
-            name=f"scale/hop-sharded/{n}",
+            name=f"scale/hop-scale/{n}",
             workload=workload,
             topology=ring_based(n),
             protocol="hop",
@@ -1087,13 +1082,12 @@ def fig24_scaling(
             trace_channels=LIGHT_TRACE,
         )
         start = _time.perf_counter()
-        run = run_spec_sharded(spec, shards=scale_shards)
+        run = run_spec(spec)
         cost = _time.perf_counter() - start
         result.rows.append(
             {
-                "protocol": "hop-sharded",
+                "protocol": "hop-scale",
                 "workers": n,
-                "shards": scale_shards,
                 "sim_wall_time": run.wall_time,
                 "iter_rate": run.iteration_rate(),
                 "messages": run.messages_sent,
@@ -1101,8 +1095,7 @@ def fig24_scaling(
             }
         )
         result.check(
-            f"hop-sharded/{n}: every worker finishes "
-            f"({scale_shards} shards)",
+            f"hop-scale/{n}: every worker finishes",
             all(c == scale_iters for c in run.iterations_completed),
             f"iterations={sorted(set(run.iterations_completed))}",
         )
@@ -1110,9 +1103,9 @@ def fig24_scaling(
         "elapsed_seconds is real wall-clock (machine-dependent); "
         "simulated quantities are deterministic.  The hop 64-worker "
         "cell's elapsed time is the scaling number BENCH_BASELINE.json "
-        "tracks; the hop-sharded rows record the 1024+-worker scale "
-        "tier through the sharded engine (bit-identical to un-sharded "
-        "runs, wall-clock recorded per cell)."
+        "tracks; the hop-scale rows record the 1024+-worker scale "
+        "tier (hop alone, a few iterations, wall-clock recorded per "
+        "cell)."
     )
     return result
 

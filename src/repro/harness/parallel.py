@@ -21,13 +21,6 @@ Worker count resolution, most specific wins:
 On machines (or sandboxes) where worker processes cannot be spawned the
 runner degrades to sequential execution with a warning instead of
 failing the figure.
-
-Shard-awareness: the sharded engine (``repro.harness.sharded``) splits
-*one* run across ``shards`` processes, so jobs and shards compose
-multiplicatively.  The shard default resolves here too
-(``set_default_shards`` / ``REPRO_SHARDS``, mirroring jobs), and
-:func:`compose_jobs_shards` caps ``jobs x shards`` at the usable CPU
-count so a sweep of sharded runs never oversubscribes the machine.
 """
 
 from __future__ import annotations
@@ -86,71 +79,11 @@ def default_jobs() -> int:
     return _usable_cpus()
 
 
-_configured_shards: Optional[int] = None
-
-
-def set_default_shards(shards: Optional[int]) -> None:
-    """Set the process-wide default shard count (CLI ``--shards`` knob).
-
-    ``None`` or ``0`` restores auto-detection (``REPRO_SHARDS`` env
-    var, then 1: sharding a run is opt-in, unlike job fan-out).
-    """
-    global _configured_shards
-    if shards is not None and shards < 0:
-        raise ValueError(f"shards must be >= 0, got {shards}")
-    _configured_shards = shards or None
-
-
-def default_shards() -> int:
-    """The shard count used when a sharded entry point gets ``shards=None``."""
-    if _configured_shards is not None:
-        return _configured_shards
-    env = os.environ.get("REPRO_SHARDS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError as error:
-            raise ValueError(
-                f"REPRO_SHARDS must be an integer, got {env!r}"
-            ) from error
-        if value < 0:
-            raise ValueError(f"REPRO_SHARDS must be >= 0, got {value}")
-        if value > 0:
-            return value
-        # 0 means auto-detect, mirroring --shards 0.
-    return 1
-
-
-def compose_jobs_shards(
-    jobs: int, shards: int, cpus: int, n_tasks: int
-) -> int:
-    """Cap concurrent jobs so ``jobs x shards`` never exceeds ``cpus``.
-
-    Every sharded run occupies ``shards`` processes, so a pool of
-    ``jobs`` of them runs ``jobs x shards`` workers at once.  With
-    ``shards > 1`` the cap is ``cpus // shards`` (at least 1: a single
-    sharded run may use the whole machine), further clamped to the
-    task count.  With ``shards == 1`` no CPU cap applies — an
-    explicit ``--jobs`` above the core count keeps its historical
-    trust-the-user meaning; only the multiplicative sharded case is
-    protected against accidental oversubscription.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if shards > 1:
-        jobs = min(jobs, max(1, cpus // shards))
-    return max(1, min(jobs, n_tasks))
-
-
 def resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
-    """Clamp the requested worker count to tasks and the shard budget."""
+    """Clamp the requested worker count to the available task count."""
     if jobs is None or jobs <= 0:
         jobs = default_jobs()
-    return compose_jobs_shards(
-        jobs, default_shards(), _usable_cpus(), n_tasks
-    )
+    return max(1, min(jobs, n_tasks))
 
 
 def _run_sequentially(

@@ -11,19 +11,6 @@ Two entry points back ``repro profile`` (and ``scripts/profile_sim.py``):
   events/sec number tracks the engine fast path in isolation, so an
   accidental O(n^2) or a de-inlined hot loop shows up immediately
   (scripts/ci.sh guards a generous floor).
-
-A third backs the sharded engine (PR 10):
-
-* :func:`sharded_events_per_sec` — the same ticker workload pushed
-  through :class:`~repro.sim.sharded.ShardedEngine`, partitioned
-  across shards with periodic cross-shard traffic.  Tracks the
-  windowed fast path plus fabric overhead; on a multi-core machine
-  the multi-shard number should beat one shard, on a single-core
-  machine it measures the (bounded) coordination tax.
-
-``profile_spec`` accepts ``shards``: a sharded profile additionally
-reports per-shard event counts, window counts and idle/sync-wait
-seconds (the ``repro profile --shards N`` rows).
 """
 
 from __future__ import annotations
@@ -32,12 +19,10 @@ import cProfile
 import io
 import pstats
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.sim.engine import Environment
-from repro.sim.sharded import ShardContext, ShardedEngine
 
 
 @dataclass
@@ -49,10 +34,6 @@ class ProfileReport:
     messages: int
     sim_wall_time: float
     stats_text: str
-    shards: int = 1
-    #: One dict per shard (sharded runs only): ``shard``,
-    #: ``owned_workers``, ``events``, ``windows``, ``sync_wait_seconds``.
-    shard_rows: List[dict] = field(default_factory=list)
 
     @property
     def iterations_per_second(self) -> float:
@@ -70,17 +51,9 @@ class ProfileReport:
             f"({self.iterations_per_second:,.0f}/s real)",
             f"messages         : {self.messages} "
             f"({self.messages_per_second:,.0f}/s real)",
+            "",
+            self.stats_text,
         ]
-        if self.shards > 1:
-            lines.append(f"shards           : {self.shards}")
-            for row in self.shard_rows:
-                lines.append(
-                    f"  shard {row['shard']}: "
-                    f"{row['owned_workers']} workers, "
-                    f"{row['events']} events over {row['windows']} "
-                    f"windows, sync-wait {row['sync_wait_seconds']:.3f}s"
-                )
-        lines.extend(["", self.stats_text])
         return "\n".join(lines)
 
 
@@ -89,9 +62,8 @@ def profile_spec(
     sort: str = "cumulative",
     limit: int = 25,
     warmup: bool = True,
-    shards: Optional[int] = None,
 ) -> ProfileReport:
-    """Profile one spec run and summarize the hot functions.
+    """Profile ``run_spec(spec)`` and summarize the hot functions.
 
     Args:
         spec: The experiment to run.
@@ -99,34 +71,13 @@ def profile_spec(
         limit: Number of rows in the stats table.
         warmup: Run once unprofiled first so one-time costs (index
             plans, BLAS initialization) do not pollute the profile.
-        shards: Run through :func:`repro.harness.sharded
-            .run_spec_sharded_with_stats` and attach per-shard rows
-            (event counts, windows, idle/sync-wait).  ``None``/1 is
-            the plain ``run_spec`` path.  The cProfile table covers
-            the parent process only — shard processes do their work
-            out of the profiler's sight; the shard rows carry their
-            side of the story.
     """
-    from repro.harness.sharded import (
-        resolve_shards,
-        run_spec_sharded_with_stats,
-    )
-
-    n_shards = resolve_shards(shards)
-
-    def execute():
-        if n_shards > 1:
-            return run_spec_sharded_with_stats(
-                spec, shards=n_shards, clock=time.perf_counter
-            )
-        return run_spec(spec), []
-
     if warmup:
-        execute()
+        run_spec(spec)
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    run, shard_rows = execute()
+    run = run_spec(spec)
     profiler.disable()
     elapsed = time.perf_counter() - start
 
@@ -139,8 +90,6 @@ def profile_spec(
         messages=run.messages_sent,
         sim_wall_time=run.wall_time,
         stats_text=stream.getvalue(),
-        shards=n_shards,
-        shard_rows=shard_rows,
     )
 
 
@@ -176,78 +125,3 @@ def sim_core_events_per_sec(
         env.run()
         best = min(best, time.perf_counter() - start)
     return total_events / best
-
-
-def _sharded_ticker_build(
-    n_processes: int, events_per_process: int, cross_period: int
-):
-    """Workload factory for :func:`sharded_events_per_sec`.
-
-    Each shard runs its slice of the tickers, plus one courier process
-    that pings the next shard every ``cross_period`` time units — so
-    the benchmark exercises the outbox/merge fabric, not just the
-    private window loop.  Must be a top-level closure-free callable
-    chain so it survives the fork into shard processes.
-    """
-
-    def ticker(env, delay: float, count: int):
-        timeout = env.timeout
-        for _ in range(count):
-            yield timeout(delay)
-
-    def courier(ctx: ShardContext, pings: int):
-        dst = (ctx.shard + 1) % ctx.n_shards
-        delay = max(ctx.lookahead, float(cross_period))
-        for _ in range(pings):
-            ctx.send(dst, delay, payload=ctx.shard)
-            yield ctx.env.timeout(cross_period)
-
-    def build(ctx: ShardContext) -> None:
-        base, extra = divmod(n_processes, ctx.n_shards)
-        mine = base + (1 if ctx.shard < extra else 0)
-        for i in range(mine):
-            ctx.env.process(
-                ticker(ctx.env, 1.0 + ctx.shard * 1e-2 + i * 1e-3,
-                       events_per_process)
-            )
-        if ctx.n_shards > 1 and mine:
-            pings = max(1, events_per_process // max(1, cross_period))
-            ctx.on_message = lambda _ctx, _payload: None
-            ctx.env.process(courier(ctx, pings))
-
-    return build
-
-
-def sharded_events_per_sec(
-    n_shards: int = 2,
-    n_processes: int = 64,
-    events_per_process: int = 2000,
-    repeats: int = 3,
-    processes: bool = True,
-    cross_period: int = 50,
-) -> float:
-    """Events/sec through the sharded engine (best of ``repeats``).
-
-    The :func:`sim_core_events_per_sec` ticker workload partitioned
-    across ``n_shards`` :class:`~repro.sim.sharded.ShardedEngine`
-    shards with cross-shard pings every ``cross_period`` simulated
-    time units.  ``n_shards=1`` degenerates to a windowed
-    single-shard run — the honest baseline for the speedup ratio.
-    With more shards than cores the number reports the coordination
-    tax rather than a speedup; callers asserting a floor should scale
-    it by the visible CPU count (see ``scripts/bench_baseline.py``).
-    """
-    build = _sharded_ticker_build(
-        n_processes, events_per_process, cross_period
-    )
-    best = float("inf")
-    total = 0
-    for _ in range(repeats):
-        engine = ShardedEngine(n_shards, lookahead=1.0, build=build)
-        start = time.perf_counter()
-        report = engine.run(processes=processes)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-            total = report.total_events
-    return total / best

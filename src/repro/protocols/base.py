@@ -292,16 +292,6 @@ class ProtocolCluster:
     #: build time.
     elastic: bool = False
 
-    #: Sharded-engine hook points (``repro.harness.sharded`` sets these
-    #: per instance between build and :meth:`run`).  ``_post_start_hook
-    #: (runtime)`` runs after :meth:`_start` — before the first event —
-    #: so a shard can repoint workers at the shared-memory parameter
-    #: plane; ``_drive_hook(env)`` replaces the plain ``env.run()``
-    #: with the windowed conservative drive.  Both default to ``None``:
-    #: un-sharded runs take the exact historical path.
-    _post_start_hook = None
-    _drive_hook = None
-
     def __init__(
         self,
         n_workers: int,
@@ -618,12 +608,7 @@ class ProtocolCluster:
             done=np.zeros(self.n_workers, dtype=bool),
         )
         self._start(runtime)
-        if self._post_start_hook is not None:
-            self._post_start_hook(runtime)
-        if self._drive_hook is None:
-            env.run()
-        else:
-            self._drive_hook(env)
+        env.run()
         self._check_complete(runtime)
 
         final_stack = np.atleast_2d(self._final_param_stack(runtime))

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.baselines.adpsgd import ADPSGDCluster
+from repro.baselines.adpsgd import ADPSGDCluster, check_bipartite
 from repro.graphs.topology import Topology
 from repro.ml.data import Batcher
 from repro.ml.optim import SGD
@@ -260,4 +260,5 @@ register_protocol(
     paper="Takezawa et al. — arXiv:2209.15505; Lin et al. — "
     "arXiv:2102.04761",
     elastic=True,  # inherits ADPSGD's lifecycle; momentum re-synced on join
+    check=check_bipartite,
 )

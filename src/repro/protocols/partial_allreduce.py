@@ -36,6 +36,14 @@ from repro.sim.engine import Environment
 from repro.sim.events import Event
 
 
+def check_group_config(n_workers: int, group_size: int) -> None:
+    """Raise ``ValueError`` for a group shape no schedule can form."""
+    if group_size < 2:
+        raise ValueError(f"group_size must be >= 2, got {group_size}")
+    if n_workers < 2:
+        raise ValueError("partial all-reduce needs >= 2 workers")
+
+
 class GroupSchedule:
     """Deterministic, conflict-free group generator.
 
@@ -67,10 +75,7 @@ class GroupSchedule:
         static: bool = False,
         active_of_round=None,
     ) -> None:
-        if group_size < 2:
-            raise ValueError(f"group_size must be >= 2, got {group_size}")
-        if n_workers < 2:
-            raise ValueError("partial all-reduce needs >= 2 workers")
+        check_group_config(n_workers, group_size)
         if static and active_of_round is not None:
             raise ValueError(
                 "static groups cannot track membership churn (a frozen "
@@ -497,4 +502,7 @@ register_protocol(
     paper="Luo, He, Zhuo, Qian — arXiv:1909.08029",
     aliases=("prague",),
     elastic=True,  # rounds partition the live member set only
+    check=lambda topology, knobs: check_group_config(
+        topology.n, knobs["group_size"]
+    ),
 )

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.graphs.topology import Topology
     from repro.harness.spec import ExperimentSpec
     from repro.protocols.base import ProtocolCluster
 
@@ -65,6 +66,14 @@ class ProtocolInfo:
             Non-elastic protocols reject churn scenarios at build time
             (:func:`build_cluster`) and keep static behavior
             bit-identically.
+        check: Optional ``f(topology, knobs) -> None`` that raises
+            ``ValueError`` for a topology or knob the builder rejects;
+            ``knobs`` maps :class:`~repro.harness.spec.ExperimentSpec`
+            field names (``ps_backup``, ``ps_staleness``,
+            ``group_size``, ...) to values.  It must call the same rule
+            the builder enforces, so a caller that validates a spec
+            without building it (the experiment service's ``/submit``)
+            reports the builder's own message.
     """
 
     name: str
@@ -74,6 +83,7 @@ class ProtocolInfo:
     aliases: tuple = ()
     native_faults: bool = False
     elastic: bool = False
+    check: Optional[Callable[["Topology", Mapping[str, object]], None]] = None
 
 
 _REGISTRY: Dict[str, ProtocolInfo] = {}
@@ -89,6 +99,7 @@ def register_protocol(
     aliases: tuple = (),
     native_faults: bool = False,
     elastic: bool = False,
+    check: Optional[Callable[["Topology", Mapping[str, object]], None]] = None,
 ) -> ProtocolInfo:
     """Register (or re-register) a protocol builder under ``name``."""
     info = ProtocolInfo(
@@ -99,6 +110,7 @@ def register_protocol(
         aliases=tuple(aliases),
         native_faults=native_faults,
         elastic=elastic,
+        check=check,
     )
     _REGISTRY[name] = info
     for alias in info.aliases:

@@ -116,22 +116,7 @@ class RunScheduler:
             raise ValueError(f"attempts must be >= 1, got {attempts}")
         self.cache = cache
         self.journal = journal
-        # Sharded runs multiply: each pool worker may fan one run
-        # across default_shards() processes, so the worker count is
-        # composed through the same jobs x shards cap the parallel
-        # figure runner uses (no cap while shards == 1, the default).
-        from repro.harness.parallel import (
-            compose_jobs_shards,
-            default_shards,
-            _usable_cpus,
-        )
-
-        self.pool_workers = compose_jobs_shards(
-            max(1, pool_workers),
-            default_shards(),
-            _usable_cpus(),
-            n_tasks=max(1, pool_workers),
-        )
+        self.pool_workers = max(1, pool_workers)
         self.run_timeout = run_timeout
         self.attempts = attempts
         self.backoff_base = backoff_base

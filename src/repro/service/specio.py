@@ -78,9 +78,11 @@ def _require(condition: bool, message: str) -> None:
 def canonical_spec(payload: dict) -> dict:
     """Validate ``payload`` and return its canonical (hashable) form.
 
-    Raises :class:`SpecError` on unknown keys, bad types, or names the
-    registries reject — the service turns these into HTTP 400s with
-    the message intact, so clients see exactly what was wrong.
+    Raises :class:`SpecError` on unknown keys, bad types, names the
+    registries reject, or a topology/knob the protocol's builder would
+    reject (its registered ``check``) — the service turns these into
+    HTTP 400s with the message intact, so clients see exactly what was
+    wrong.
     """
     _require(isinstance(payload, dict), "spec must be a JSON object")
     unknown = sorted(set(payload) - set(DEFAULTS) - set(LABEL_FIELDS))
@@ -121,15 +123,21 @@ def canonical_spec(payload: dict) -> dict:
     _require(isinstance(graph, str), "graph must be a string")
     graph = _GRAPH_ALIASES.get(graph, graph)
     try:
-        graph_by_name(graph, merged["workers"])
+        topology = graph_by_name(graph, merged["workers"])
     except Exception as error:
         raise SpecError(str(error)) from error
     merged["graph"] = graph
 
     try:
-        merged["protocol"] = get_protocol(merged["protocol"]).name
+        protocol = get_protocol(merged["protocol"])
+        # The protocol's own build-time rule (bipartite gossip graph,
+        # SSP staleness, ...), so a cell the pool would only reject
+        # after its retries fails here as a 400 instead.
+        if protocol.check is not None:
+            protocol.check(topology, merged)
     except ValueError as error:
         raise SpecError(str(error)) from error
+    merged["protocol"] = protocol.name
 
     merged["scenario"] = _canonical_scenario(merged["scenario"])
     merged["compression"] = _canonical_compression(merged["compression"])

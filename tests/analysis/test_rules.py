@@ -17,7 +17,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: rule id -> fixture stem (``<stem>_bad.py`` / ``<stem>_good.py``).
 CASES = [
     ("det-wall-clock", "repro/sim/det_wall_clock"),
-    ("det-shard-merge", "repro/sim/det_shard_merge"),
     ("det-global-rng", "repro/sim/det_global_rng"),
     ("det-unseeded-rng", "repro/sim/det_unseeded_rng"),
     ("det-set-iter", "repro/sim/det_set_iter"),

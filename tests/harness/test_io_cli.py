@@ -96,6 +96,22 @@ class TestCLI:
         assert code == 0
         assert "backup" in capsys.readouterr().out
 
+    def test_train_summary_ignores_repro_shards(self, monkeypatch, capsys):
+        # A stale REPRO_SHARDS from older releases must not change a run.
+        argv = ["train", "--workers", "6", "--iterations", "5"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_SHARDS", "2")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("command", ["train", "profile"])
+    def test_shards_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
     def test_figures_command_single(self, capsys):
         assert main(["figures", "--only", "fig21"]) == 0
         out = capsys.readouterr().out

@@ -10,6 +10,10 @@ entry point operators use — and assert the crash-safety contract:
   fingerprint/integrity and recomputes instead of serving it;
 * SIGTERM while a sweep is in flight -> the server drains (finishes
   the work, then exits 0) instead of dropping it.
+
+Each server runs in its own session, so its pool workers share its
+process group; ``cleanup`` kills and reaps that whole group, which
+also covers pool workers orphaned by a ``kill -9`` of the server.
 """
 
 import json
@@ -37,6 +41,24 @@ def sweep_specs(n=4, delay=0.4):
     ]
 
 
+def live_group_members(pgid):
+    """PIDs of non-zombie processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:  # exited while we scanned
+            continue
+        # Fields after the parenthesized command name: state, ppid, pgrp.
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
 class ServerProcess:
     """A ``repro serve`` subprocess bound to an OS-assigned port."""
 
@@ -60,7 +82,11 @@ class ServerProcess:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
+            start_new_session=True,
         )
+        #: The server leads its own process group; its pool workers
+        #: inherit it.
+        self.pgid = self.proc.pid
         line = self.proc.stdout.readline()
         match = re.search(r"listening on http://[\d.]+:(\d+)", line)
         assert match, f"no listen line, got: {line!r}"
@@ -68,6 +94,8 @@ class ServerProcess:
         self.client = ServiceClient(self.url, timeout=10.0)
 
     def kill9(self):
+        """SIGKILL the server alone (the fault under test); its pool
+        workers are left for :meth:`cleanup`."""
         self.proc.kill()
         self.proc.wait(timeout=30)
 
@@ -75,9 +103,22 @@ class ServerProcess:
         self.proc.send_signal(signal.SIGTERM)
 
     def cleanup(self):
-        if self.proc.poll() is None:
-            self.proc.kill()
+        """Kill and reap the server's whole process group."""
+        try:
+            os.killpg(self.pgid, signal.SIGKILL)
+        except ProcessLookupError:  # the group already exited
+            pass
         self.proc.wait(timeout=30)
+        self.proc.stdout.close()
+        # Orphaned pool workers are reaped by init, not by us: wait
+        # until none is left alive.
+        deadline = time.monotonic() + 30
+        while live_group_members(self.pgid):
+            assert time.monotonic() < deadline, (
+                f"processes {live_group_members(self.pgid)} in group "
+                f"{self.pgid} survived cleanup"
+            )
+            time.sleep(0.05)
 
 
 @pytest.fixture

@@ -74,6 +74,20 @@ class TestHappyPathAndCache:
         scheduler.shutdown(timeout=5)
 
 
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "requested,expected", [(-3, 1), (0, 1), (1, 1), (2, 2), (16, 16)]
+    )
+    def test_pool_workers_is_at_least_one(
+        self, tmp_path, requested, expected
+    ):
+        # No CPU cap: an explicit pool size above the core count is
+        # honoured, the way ``--jobs`` is for the figure runner.
+        scheduler = make_scheduler(tmp_path, pool_workers=requested)
+        assert scheduler.pool_workers == expected
+        scheduler.shutdown(timeout=5)
+
+
 class TestRetries:
     def test_injected_failures_retry_and_match_clean_run_bitwise(
         self, tmp_path

@@ -69,14 +69,25 @@ class TestEndpoints:
         assert snapshot["cells"][digest]["cache_hit"] is True
         assert client.stats()["runs_computed"] == 1
 
+    @pytest.mark.parametrize(
+        "payload,fragment",
+        [
+            ({"workers": 4, "bogus": True}, "unknown spec field"),
+            # Rejected by the protocol builder's own rule, at /submit
+            # rather than after every retry in the pool.
+            ({"protocol": "adpsgd", "workers": 16},
+             "'ring_based(16)' is not bipartite"),
+        ],
+    )
     def test_bad_spec_is_a_400_with_the_validation_message(
-        self, service_stack
+        self, service_stack, payload, fragment
     ):
         _, client = service_stack
         with pytest.raises(ServiceError) as info:
-            client.submit_one({"workers": 4, "bogus": True})
+            client.submit_one(payload)
         assert info.value.status == 400
-        assert "unknown spec field" in str(info.value)
+        assert fragment in str(info.value)
+        assert client.stats()["runs_computed"] == 0
 
     def test_malformed_json_is_a_400(self, service_stack):
         _, client = service_stack

@@ -49,6 +49,12 @@ spec_payloads = st.fixed_dictionaries(
         "momentum_mode": st.sampled_from(["tracking", "quasi-global"]),
         "name": st.text(min_size=1, max_size=12),
     },
+).filter(
+    # AD-PSGD gossips over a bipartite graph; of the sampled graphs
+    # only the even ring is one, and the default graph (ring_based) is
+    # not, so other pairings are invalid specs (rejected below).
+    lambda payload: payload.get("protocol") != "adpsgd"
+    or payload.get("graph") == "ring"
 )
 
 
@@ -173,6 +179,13 @@ def test_none_scenario_and_compression_elide_to_defaults():
          "unknown scenario field"),
         ({"compression": {"params": {}}}, "compression must be"),
         ([], "must be a JSON object"),
+        ({"protocol": "adpsgd", "workers": 16}, "is not bipartite"),
+        ({"protocol": "momentum-tracking", "workers": 16},
+         "is not bipartite"),
+        ({"protocol": "ps-ssp", "workers": 16}, "ssp needs staleness >= 1"),
+        ({"protocol": "ps", "ps_backup": 8}, "n_backup must be in"),
+        ({"protocol": "partial-allreduce", "group_size": 1},
+         "group_size must be >= 2"),
     ],
 )
 def test_invalid_payloads_raise_spec_error(payload, fragment):
