@@ -7,8 +7,12 @@ golden-pinned conformance spec twice, and asserts the contract:
 1. the first submit computes and its fingerprint equals the recorded
    ``hop/none`` golden-stats cell bit-for-bit,
 2. the second identical submit is served as a fingerprint-verified
-   cache hit (zero recomputation),
+   cache hit (zero recomputation), settled at admission: the first
+   poll already reports the sweep complete,
 3. SIGTERM drains the server cleanly (exit code 0).
+
+It also reports (without gating on it) the median of 20 ``GET
+/healthz`` round trips on one keep-alive connection.
 
 Usage::
 
@@ -17,13 +21,16 @@ Usage::
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -73,9 +80,8 @@ def main() -> int:
             line = proc.stdout.readline()
             match = re.search(r"listening on http://[\d.]+:(\d+)", line)
             assert match, f"no listen line: {line!r}"
-            client = ServiceClient(
-                f"http://127.0.0.1:{match.group(1)}", timeout=30.0
-            )
+            port = int(match.group(1))
+            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=30.0)
 
             first = client.submit([GOLDEN_SPEC])
             snap = client.wait_for_sweep(first["sweep_id"], timeout=120)
@@ -90,12 +96,32 @@ def main() -> int:
             print(f"service smoke: computed {digest[:12]} == golden hop/none")
 
             second = client.submit([GOLDEN_SPEC])
-            snap = client.wait_for_sweep(second["sweep_id"], timeout=60)
+            snap = client.sweep(second["sweep_id"])
+            assert snap["complete"] is True, (
+                f"cached sweep not complete on its first poll: {snap}"
+            )
             cell = snap["cells"][digest]
             assert cell["cache_hit"] is True, cell
             stats = client.stats()
             assert stats["runs_computed"] == 1, stats
-            print("service smoke: second submit was a verified cache hit")
+            print("service smoke: second submit was a verified cache hit,"
+                  " complete on its first poll")
+
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", port, timeout=30
+            )
+            round_trips = []
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200, response.status
+                response.read()
+                round_trips.append(time.perf_counter() - start)
+            connection.close()
+            print("service smoke: keep-alive /healthz round trip median "
+                  f"{statistics.median(round_trips) * 1e3:.2f} ms "
+                  "(report only)")
 
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=60)

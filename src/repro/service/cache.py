@@ -18,9 +18,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import threading
 from pathlib import Path
 from typing import Optional, Union
+
+
+_SPEC_HASH = re.compile(r"[0-9a-f]{64}")
+
+
+def is_spec_hash(value: object) -> bool:
+    """True iff ``value`` is a cache address: 64 lowercase hex digits.
+
+    Anything else (``..``, a slash, a query string) could name a file
+    outside the cache, so it is never turned into a path.
+    """
+    return isinstance(value, str) and _SPEC_HASH.fullmatch(value) is not None
 
 
 def entry_digest(spec_hash: str, spec: dict, fingerprint: dict,
@@ -52,7 +65,14 @@ class ResultCache:
         self.corruptions = 0
 
     def path_for(self, spec_hash: str) -> Path:
-        """Fan entries out over 256 subdirectories."""
+        """Fan entries out over 256 subdirectories.
+
+        Raises ``ValueError`` unless ``spec_hash`` :func:`is_spec_hash`:
+        a read that fails verification unlinks the file, so a path
+        that escaped the cache would let a request delete it.
+        """
+        if not is_spec_hash(spec_hash):
+            raise ValueError(f"not a spec hash: {spec_hash!r}")
         return self.root / spec_hash[:2] / f"{spec_hash}.json"
 
     def put(self, spec_hash: str, spec: dict, fingerprint: dict,

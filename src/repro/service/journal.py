@@ -3,12 +3,16 @@
 Before the scheduler runs anything it journals the sweep (id + every
 cell's hash and request payload); each completed cell appends a
 ``done`` record *after* its cache entry is safely on disk, and a
-finished sweep appends ``sweep-done``.  Records are JSONL lines
-written with flush + fsync, so the journal is durable up to the last
-fsync; a crash can at worst leave one torn *final* line, which replay
-detects and discards (the corresponding state is re-derived from the
-cache — cells whose cache write landed are hits, nothing is lost and
-nothing runs twice).  Before its first append after opening, the
+finished sweep appends ``sweep-done``.  Records are JSONL lines; one
+append writes one or more of them in a single write followed by one
+flush + fsync (admission journals a sweep, its cache hits and, when
+every cell hit, its ``sweep-done`` together), so the journal is
+durable up to the last fsync.  A crash can at worst leave one torn
+*final* line — a multi-record append torn mid-way leaves its complete
+lines plus that fragment — which replay detects and discards (the
+corresponding state is re-derived from the cache — cells whose cache
+write landed are hits, nothing is lost and nothing runs twice).
+Before its first append after opening, the
 journal truncates any torn tail left by a previous crash, so a new
 record is never glued onto the fragment (the fragment's fsync never
 completed, so dropping it loses nothing durable).
@@ -45,6 +49,26 @@ class SweepRecord:
     @property
     def pending(self) -> List[dict]:
         return [cell for cell in self.cells if cell["hash"] not in self.done]
+
+
+def sweep_record(sweep_id: str, cells: List[dict]) -> dict:
+    return {"kind": "sweep", "sweep_id": sweep_id, "cells": cells}
+
+
+def done_record(sweep_id: str, spec_hash: str, cache_hit: bool,
+                attempts: int, status: str = "done") -> dict:
+    return {
+        "kind": "done",
+        "sweep_id": sweep_id,
+        "hash": spec_hash,
+        "cache_hit": cache_hit,
+        "attempts": attempts,
+        "status": status,
+    }
+
+
+def sweep_done_record(sweep_id: str) -> dict:
+    return {"kind": "sweep-done", "sweep_id": sweep_id}
 
 
 class RunJournal:
@@ -90,40 +114,31 @@ class RunJournal:
         except FileNotFoundError:
             return
 
-    def append(self, record: dict) -> None:
-        """Durably append one record (write + flush + fsync).
+    def append(self, *records: dict) -> None:
+        """Durably append one or more records: one write, one fsync.
 
         Appends are not atomic-rename on purpose: the journal is an
         append-only log, and its crash contract is "at most one torn
         final line", which :meth:`replay` tolerates and which the
         first append repairs (see :meth:`_repair_torn_tail_locked`).
+        A batch torn mid-way replays as its complete prefix.
         """
-        line = json.dumps(record, sort_keys=True) + "\n"
+        data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         with self._lock:
             self._repair_torn_tail_locked()
             with open(self.path, "a") as handle:
-                handle.write(line)
+                handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
-
-    def sweep_submitted(self, sweep_id: str, cells: List[dict]) -> None:
-        self.append({"kind": "sweep", "sweep_id": sweep_id, "cells": cells})
 
     def cell_done(self, sweep_id: str, spec_hash: str, cache_hit: bool,
                   attempts: int, status: str = "done") -> None:
         self.append(
-            {
-                "kind": "done",
-                "sweep_id": sweep_id,
-                "hash": spec_hash,
-                "cache_hit": cache_hit,
-                "attempts": attempts,
-                "status": status,
-            }
+            done_record(sweep_id, spec_hash, cache_hit, attempts, status)
         )
 
     def sweep_done(self, sweep_id: str) -> None:
-        self.append({"kind": "sweep-done", "sweep_id": sweep_id})
+        self.append(sweep_done_record(sweep_id))
 
     # ------------------------------------------------------------------
     # Replay

@@ -3,8 +3,13 @@
 One dispatcher thread per pool slot takes cells (spec payloads) through
 the full robustness pipeline:
 
-1. **Cache first** — a verified entry short-circuits the run (the hit
-   is journaled so a resumed sweep knows the cell is settled).
+1. **Cache first** — admission settles every cell with a verified
+   entry before the submit is answered: the sweep record, those hits'
+   ``done`` records and, when every cell hit, ``sweep-done`` go to the
+   journal in one fsync'd append, so a fully cached sweep is complete
+   on its first poll.  Only misses reach a dispatcher, which checks
+   the cache once more (an identical cell in flight in another sweep
+   may have landed meanwhile).
 2. **Bounded retries** — each compute attempt runs in the process pool
    under a per-run timeout; failures (worker crash, timeout, in-worker
    exception) sleep a deterministic seeded-backoff delay
@@ -21,7 +26,7 @@ the full robustness pipeline:
    between the two at worst forgets the journal line; the resumed
    sweep re-checks the cache and still never recomputes.
 
-Admission is bounded: more than ``max_pending`` queued cells rejects
+Admission is bounded: more than ``max_pending`` queued misses rejects
 the sweep with :class:`ServiceOverloaded` (the HTTP layer turns that
 into a 429), so overload sheds load instead of growing an unbounded
 queue.  ``drain()`` stops admissions and waits for in-flight sweeps —
@@ -41,7 +46,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.harness.retry import backoff_schedule
 from repro.service.cache import ResultCache
-from repro.service.journal import RunJournal
+from repro.service.journal import (
+    RunJournal,
+    done_record,
+    sweep_done_record,
+    sweep_record,
+)
 from repro.service.runner import execute_cell
 
 
@@ -58,7 +68,9 @@ class CellState:
     """Lifecycle of one sweep cell."""
 
     spec_hash: str
-    payload: dict
+    #: ``None`` for a cell settled as a cache hit at admission: it never
+    #: runs, and its payload is in the journal's sweep record.
+    payload: Optional[dict]
     status: str = "pending"  # pending -> running -> done | failed
     cache_hit: bool = False
     attempts: int = 0
@@ -157,38 +169,60 @@ class RunScheduler:
     ) -> SweepState:
         """Admit one sweep of ``(spec_hash, payload)`` cells.
 
-        Duplicate hashes within a sweep collapse to one cell.  With
-        ``journal=False`` the sweep record is assumed journaled already
-        (the restart-resume path); ``force=True`` skips the admission
-        bound so resumed sweeps are never shed by their own restart.
+        Duplicate hashes within a sweep collapse to one cell.  Cells
+        with a verified cache entry are settled here, before this
+        returns; the rest are dispatched.  With ``journal=False`` the
+        sweep record is assumed journaled already (the restart-resume
+        path); ``force=True`` skips the admission bound so resumed
+        sweeps are never shed by their own restart.
         """
         if not cells:
             raise ValueError("a sweep needs at least one cell")
         unique: Dict[str, dict] = {}
         for spec_hash, payload in cells:
             unique.setdefault(spec_hash, payload)
+        cached = {h: self.cache.get(h) is not None for h in unique}
+        hits = [h for h, found in cached.items() if found]
+        misses = [h for h, found in cached.items() if not found]
         with self._state_lock:
             if self._draining:
                 raise SchedulerDraining("scheduler is draining")
             if sweep_id in self._sweeps:
                 raise ValueError(f"sweep {sweep_id!r} already submitted")
-            if not force and self._pending + len(unique) > self.max_pending:
+            if not force and self._pending + len(misses) > self.max_pending:
                 self.counters["shed"] += 1
                 raise ServiceOverloaded(
                     f"admission queue full ({self._pending} pending, "
-                    f"{len(unique)} requested, bound {self.max_pending})"
+                    f"{len(misses)} requested, bound {self.max_pending})"
                 )
             sweep = SweepState(sweep_id=sweep_id)
             for spec_hash, payload in unique.items():
-                sweep.cells[spec_hash] = CellState(spec_hash, payload)
+                sweep.cells[spec_hash] = CellState(
+                    spec_hash, None if cached[spec_hash] else payload
+                )
             self._sweeps[sweep_id] = sweep
-            self._pending += len(unique)
+            self._pending += len(misses)
+        records = []
         if journal:
-            self.journal.sweep_submitted(
+            records.append(sweep_record(
                 sweep_id,
                 [{"hash": h, "payload": p} for h, p in unique.items()],
-            )
-        for spec_hash in unique:
+            ))
+        records.extend(
+            done_record(sweep_id, h, cache_hit=True, attempts=0) for h in hits
+        )
+        if not misses:
+            records.append(sweep_done_record(sweep_id))
+        if records:
+            self.journal.append(*records)
+        # Hits turn done only once their records are durable.
+        with self._state_lock:
+            for spec_hash in hits:
+                sweep.cells[spec_hash].status = "done"
+                sweep.cells[spec_hash].cache_hit = True
+            if not misses:
+                sweep.finished.set()
+        for spec_hash in misses:
             self._dispatch.submit(self._run_cell, sweep, spec_hash)
         return sweep
 
@@ -304,8 +338,9 @@ class RunScheduler:
         cell = sweep.cells[spec_hash]
         try:
             cell.status = "running"
-            entry = self.cache.get(spec_hash)
-            if entry is not None:
+            # Missed at admission, but the same cell in flight in
+            # another sweep may have landed since.
+            if self.cache.get(spec_hash) is not None:
                 cell.status = "done"
                 cell.cache_hit = True
                 self.journal.cell_done(

@@ -18,7 +18,9 @@ Endpoints:
                          the existing ticket); different cells -> 409.
 ``GET /sweep/<id>``      Live sweep snapshot (per-cell status, attempts,
                          cache hits).
-``GET /result/<hash>``   The verified cache entry for one cell.
+``GET /result/<hash>``   The verified cache entry for one cell; 404
+                         for a miss and for anything that is not a
+                         64-digit lowercase hex hash.
 ``GET /healthz``         Liveness: 200 whenever the process can answer.
 ``GET /readyz``          Readiness: 200 iff accepting work (503 while
                          draining or saturated).
@@ -41,7 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from repro.service.cache import ResultCache
+from repro.service.cache import ResultCache, is_spec_hash
 from repro.service.journal import RunJournal
 from repro.service.scheduler import (
     RunScheduler,
@@ -187,6 +189,10 @@ class ExperimentService:
         return None if sweep is None else sweep.snapshot()
 
     def result(self, digest: str) -> Optional[dict]:
+        """The verified entry; ``None`` for a miss or a non-hash, which
+        touches no file and no counter."""
+        if not is_spec_hash(digest):
+            return None
         return self.cache.get(digest)
 
     def stats(self) -> dict:
@@ -222,10 +228,25 @@ class _Handler(BaseHTTPRequestHandler):
     #: Socket timeout per request: a slow client stalls only its own
     #: connection thread, never the accept loop or other requests.
     timeout = 10.0
+    #: Replies are buffered whole and leave in one send when
+    #: ``handle_one_request`` flushes.  Written unbuffered, the headers
+    #: and the body went out as two small segments, and Nagle held the
+    #: body until the client's delayed ACK of the headers (~40 ms per
+    #: request).  A reply larger than the buffer leaves in several
+    #: sends; TCP_NODELAY keeps its small tail from waiting either.
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # the CLI owns stdout; request logs would drown it
+
+    def handle_expect_100(self) -> bool:
+        # The client waits for this interim reply before it sends the
+        # body, so it cannot sit in the buffer until the final reply.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     def _send_json(self, status: int, body: dict) -> None:
         data = (json.dumps(body, sort_keys=True) + "\n").encode()

@@ -4,8 +4,14 @@ import json
 
 import pytest
 
+from repro.service import journal as journal_module
 from repro.service.cache import ResultCache, entry_digest
-from repro.service.journal import RunJournal
+from repro.service.journal import (
+    RunJournal,
+    done_record,
+    sweep_done_record,
+    sweep_record,
+)
 
 HASH = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -13,6 +19,9 @@ OTHER = "cd" + "1" * 62
 FINGERPRINT = {"final_loss": "0x1.8p-1", "final_params_sha256": "f" * 64}
 RESULT = {"stats": {"messages_sent": 60}}
 SPEC = {"workers": 4, "max_iter": 5}
+#: A sweep's cell list of one.
+HASH_CELL = [{"hash": HASH, "payload": SPEC}]
+OTHER_CELL = [{"hash": OTHER, "payload": {}}]
 
 
 class TestResultCache:
@@ -31,6 +40,17 @@ class TestResultCache:
     def test_entries_fan_out_by_prefix(self, tmp_path):
         cache = self.make(tmp_path)
         assert cache.path_for(HASH).parent.name == "ab"
+
+    @pytest.mark.parametrize(
+        "name", ["../victim", "ab/../../x", HASH.upper(), HASH[:-1],
+                 HASH + "0", "", None],
+    )
+    def test_only_spec_hashes_have_a_path(self, tmp_path, name):
+        cache = self.make(tmp_path)
+        for call in (cache.path_for, cache.get):
+            with pytest.raises(ValueError, match="not a spec hash"):
+                call(name)
+        assert cache.stats() == {"hits": 0, "misses": 0, "corruptions": 0}
 
     def test_truncated_entry_is_quarantined_and_recomputable(self, tmp_path):
         cache = self.make(tmp_path)
@@ -98,7 +118,7 @@ class TestRunJournal:
         journal = self.make(tmp_path)
         cells = [{"hash": HASH, "payload": SPEC},
                  {"hash": OTHER, "payload": {"workers": 8}}]
-        journal.sweep_submitted("s000001", cells)
+        journal.append(sweep_record("s000001", cells))
         journal.cell_done("s000001", HASH, cache_hit=False, attempts=1)
         state = journal.replay()
         sweep = state["s000001"]
@@ -110,7 +130,7 @@ class TestRunJournal:
 
     def test_torn_final_line_is_tolerated(self, tmp_path):
         journal = self.make(tmp_path)
-        journal.sweep_submitted("s000001", [{"hash": HASH, "payload": SPEC}])
+        journal.append(sweep_record("s000001", HASH_CELL))
         journal.cell_done("s000001", HASH, cache_hit=False, attempts=1)
         with open(journal.path, "a") as handle:
             handle.write('{"kind": "done", "sweep_id": "s0000')  # kill -9
@@ -123,7 +143,7 @@ class TestRunJournal:
         # the fragment (that would corrupt a mid-file line and poison
         # every later replay).
         journal = self.make(tmp_path)
-        journal.sweep_submitted("s000001", [{"hash": HASH, "payload": SPEC}])
+        journal.append(sweep_record("s000001", HASH_CELL))
         journal.cell_done("s000001", HASH, cache_hit=False, attempts=1)
         with open(journal.path, "a") as handle:
             handle.write('{"kind": "done", "sweep_id": "s0000')  # kill -9
@@ -135,9 +155,61 @@ class TestRunJournal:
         for line in journal.path.read_text().splitlines():
             json.loads(line)  # every surviving line is intact
 
+    def test_multi_record_append_is_one_write_and_one_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        journal = self.make(tmp_path)
+        fsyncs = []
+        real_fsync = journal_module.os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(journal_module.os, "fsync", counting_fsync)
+        journal.append(
+            sweep_record("s000001", HASH_CELL),
+            done_record("s000001", HASH, cache_hit=True, attempts=0),
+            sweep_done_record("s000001"),
+        )
+        assert len(fsyncs) == 1
+        assert len(journal.path.read_text().splitlines()) == 3
+        sweep = journal.replay()["s000001"]
+        assert sweep.complete and sweep.done[HASH]["cache_hit"] is True
+
+    def test_torn_batch_replays_its_complete_prefix(self, tmp_path):
+        # kill -9 mid-way through a multi-record append: the complete
+        # lines replay, the torn final line is dropped, and the next
+        # append truncates the fragment instead of gluing onto it.
+        journal = self.make(tmp_path)
+        cells = [{"hash": HASH, "payload": SPEC},
+                 {"hash": OTHER, "payload": {"workers": 8}}]
+        journal.append(
+            sweep_record("s000001", cells),
+            done_record("s000001", HASH, cache_hit=True, attempts=0),
+            done_record("s000001", OTHER, cache_hit=True, attempts=0),
+            sweep_done_record("s000001"),
+        )
+        data = journal.path.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1  # start of sweep-done
+        third = data.rstrip(b"\n")[:last - 1].rfind(b"\n") + 1
+        journal.path.write_bytes(data[:third + 20])  # tear the 3rd line
+        restarted = RunJournal(journal.path)  # fresh process
+        sweep = restarted.replay()["s000001"]
+        assert list(sweep.done) == [HASH]
+        assert not sweep.complete
+        restarted.cell_done("s000001", OTHER, cache_hit=True, attempts=0)
+        restarted.sweep_done("s000001")
+        lines = journal.path.read_text().splitlines()
+        assert [json.loads(line)["kind"] for line in lines] == [
+            "sweep", "done", "done", "sweep-done"
+        ]
+        sweep = restarted.replay()["s000001"]
+        assert sweep.complete and set(sweep.done) == {HASH, OTHER}
+
     def test_corruption_elsewhere_raises(self, tmp_path):
         journal = self.make(tmp_path)
-        journal.sweep_submitted("s000001", [{"hash": HASH, "payload": SPEC}])
+        journal.append(sweep_record("s000001", HASH_CELL))
         journal.cell_done("s000001", HASH, cache_hit=False, attempts=1)
         lines = journal.path.read_text().splitlines()
         lines[0] = lines[0][:20]  # not the tail: external damage
@@ -148,16 +220,16 @@ class TestRunJournal:
     def test_next_sweep_seq_advances_past_journaled_ids(self, tmp_path):
         journal = self.make(tmp_path)
         assert journal.next_sweep_seq() == 1
-        journal.sweep_submitted("s000007", [{"hash": HASH, "payload": SPEC}])
-        journal.sweep_submitted("custom-id", [{"hash": OTHER, "payload": {}}])
+        journal.append(sweep_record("s000007", HASH_CELL))
+        journal.append(sweep_record("custom-id", OTHER_CELL))
         assert journal.next_sweep_seq() == 8
 
     def test_checkpoint_drops_completed_sweeps(self, tmp_path):
         journal = self.make(tmp_path)
-        journal.sweep_submitted("s000001", [{"hash": HASH, "payload": SPEC}])
+        journal.append(sweep_record("s000001", HASH_CELL))
         journal.cell_done("s000001", HASH, cache_hit=False, attempts=1)
         journal.sweep_done("s000001")
-        journal.sweep_submitted("s000002", [{"hash": OTHER, "payload": {}}])
+        journal.append(sweep_record("s000002", OTHER_CELL))
         kept = journal.checkpoint()
         assert kept == 1
         state = journal.replay()
@@ -171,7 +243,7 @@ class TestRunJournal:
         # Compaction drops completed sweeps but must not let a
         # restarted server reuse their ids.
         journal = self.make(tmp_path)
-        journal.sweep_submitted("s000005", [{"hash": HASH, "payload": SPEC}])
+        journal.append(sweep_record("s000005", HASH_CELL))
         journal.cell_done("s000005", HASH, cache_hit=False, attempts=1)
         journal.sweep_done("s000005")
         journal.checkpoint()

@@ -6,12 +6,13 @@ the pool, a hung worker tripping the run timeout — use a real
 ``ProcessPoolExecutor`` with the runner's chaos knobs.
 """
 
+import json
 import time
 
 import pytest
 
 from repro.service.cache import ResultCache
-from repro.service.journal import RunJournal
+from repro.service.journal import RunJournal, sweep_record
 from repro.service.runner import execute_cell
 from repro.service.scheduler import (
     RunScheduler,
@@ -71,6 +72,88 @@ class TestHappyPathAndCache:
         state = scheduler.journal.replay()
         assert state["s1"].complete
         assert state["s1"].done[digest]["cache_hit"] is False
+        scheduler.shutdown(timeout=5)
+
+
+class TestAdmissionSettlesHits:
+    def cached(self, tmp_path, payload=PAYLOAD):
+        """A scheduler over a cache that already holds ``payload``."""
+        scheduler = make_scheduler(tmp_path)
+        outcome = execute_cell(dict(payload))
+        scheduler.cache.put(
+            spec_hash(payload), outcome["spec"], outcome["fingerprint"],
+            outcome["result"],
+        )
+        return scheduler
+
+    def test_fully_cached_sweep_is_finished_when_admitted(self, tmp_path):
+        scheduler = self.cached(tmp_path)
+        digest = spec_hash(PAYLOAD)
+        sweep = scheduler.submit_sweep("s1", [(digest, PAYLOAD)])
+        assert sweep.finished.is_set()  # before any dispatcher ran
+        assert sweep.snapshot()["cells"][digest] == {
+            "status": "done", "cache_hit": True, "attempts": 0,
+            "error": None,
+        }
+        assert scheduler.journal.replay()["s1"].complete
+        assert scheduler.stats()["pending"] == 0
+        # Its payload lives in the journal only, not in every sweep the
+        # server keeps in memory.
+        assert sweep.cells[digest].payload is None
+        scheduler.shutdown(timeout=5)
+
+    def test_hits_do_not_count_against_the_admission_bound(self, tmp_path):
+        scheduler = self.cached(tmp_path)
+        scheduler.max_pending = 0
+        digest = spec_hash(PAYLOAD)
+        sweep = scheduler.submit_sweep("s1", [(digest, PAYLOAD)])
+        assert sweep.finished.is_set()
+        other = {**PAYLOAD, "seed": 4}
+        with pytest.raises(ServiceOverloaded):
+            scheduler.submit_sweep(
+                "s2", [(digest, PAYLOAD), (spec_hash(other), other)]
+            )
+        scheduler.shutdown(timeout=5)
+
+    def test_mixed_sweep_settles_hits_and_computes_only_misses(
+        self, tmp_path
+    ):
+        scheduler = self.cached(tmp_path)
+        hit, other = spec_hash(PAYLOAD), {**PAYLOAD, "seed": 4}
+        miss = spec_hash(other)
+        sweep = scheduler.submit_sweep(
+            "s1", [(hit, PAYLOAD), (miss, other)]
+        )
+        assert sweep.cells[hit].status == "done"
+        snapshot = wait(sweep)
+        assert snapshot["cells"][hit]["cache_hit"] is True
+        assert snapshot["cells"][miss]["cache_hit"] is False
+        assert scheduler.counters["runs_computed"] == 1
+        kinds = [
+            json.loads(line)["kind"]
+            for line in scheduler.journal.path.read_text().splitlines()
+        ]
+        assert kinds == ["sweep", "done", "done", "sweep-done"]
+        scheduler.shutdown(timeout=5)
+
+    def test_resumed_sweep_never_recomputes_or_rejournals(self, tmp_path):
+        # The restart path: the sweep record survived, the done records
+        # did not, and the cache holds the results.
+        scheduler = self.cached(tmp_path)
+        digest = spec_hash(PAYLOAD)
+        scheduler.journal.append(sweep_record(
+            "s1", [{"hash": digest, "payload": PAYLOAD}]
+        ))
+        sweep = scheduler.submit_sweep(
+            "s1", [(digest, PAYLOAD)], journal=False, force=True
+        )
+        assert sweep.finished.is_set()
+        assert scheduler.counters["runs_computed"] == 0
+        kinds = [
+            json.loads(line)["kind"]
+            for line in scheduler.journal.path.read_text().splitlines()
+        ]
+        assert kinds == ["sweep", "done", "sweep-done"]
         scheduler.shutdown(timeout=5)
 
 

@@ -5,12 +5,16 @@ and talks to it through :class:`repro.service.client.ServiceClient` —
 the same stack ``repro serve`` / ``repro submit`` use.
 """
 
+import http.client
 import json
+import os
 import socket
 import threading
+import time
 
 import pytest
 
+from repro.service import journal as journal_module
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ExperimentService, make_server
 from repro.service.specio import canonical_spec, spec_hash
@@ -126,6 +130,180 @@ class TestEndpoints:
         snapshot = client.wait_for_sweep("retry", timeout=60)
         assert snapshot["total"] == 1
         assert client.stats()["runs_computed"] == 1
+
+
+def port_of(client):
+    return int(client.url.rsplit(":", 1)[1])
+
+
+def keep_alive(client):
+    """One persistent HTTP/1.1 connection to the fixture's server."""
+    return http.client.HTTPConnection(
+        "127.0.0.1", port_of(client), timeout=10
+    )
+
+
+def exchange(connection, method, path, body=None):
+    data = None if body is None else json.dumps(body).encode()
+    headers = {"Content-Type": "application/json"} if data else {}
+    connection.request(method, path, body=data, headers=headers)
+    response = connection.getresponse()
+    return response.status, json.loads(response.read())
+
+
+class TestTransport:
+    def test_every_reply_is_one_send_on_a_nodelay_socket(
+        self, service_stack, monkeypatch
+    ):
+        # Headers and body written as two sends let Nagle hold the body
+        # until the client's delayed ACK: ~40 ms per reply.
+        _, client = service_stack
+        port = port_of(client)
+        sends = []  # TCP_NODELAY of the server socket, one per send
+
+        def counting(original):
+            def send(sock, *args, **kwargs):
+                if sock.getsockname()[1] == port:  # server side only
+                    sends.append(sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    ))
+                return original(sock, *args, **kwargs)
+            return send
+
+        for name in ("send", "sendall"):
+            monkeypatch.setattr(
+                socket.socket, name, counting(getattr(socket.socket, name))
+            )
+        connection = keep_alive(client)
+        try:
+            status, ticket = exchange(
+                connection, "POST", "/submit", dict(PAYLOAD)
+            )
+            assert status == 202 and len(sends) == 1
+            sweep_path = ticket["status_url"]
+            assert service_stack[0].scheduler.sweep(
+                ticket["sweep_id"]
+            ).finished.wait(60)
+            digest = ticket["cells"][0]
+            requests = [
+                ("GET", "/healthz", 200),
+                ("GET", sweep_path, 200),
+                ("GET", f"/result/{digest}", 200),
+                ("GET", "/stats", 200),
+                ("GET", "/readyz", 200),
+                ("GET", "/nope", 404),
+                ("POST", "/submit", 400),
+            ]
+            for method, path, expected in requests:
+                before = len(sends)
+                body = {"bogus": 1} if method == "POST" else None
+                status, _ = exchange(connection, method, path, body)
+                assert status == expected, path
+                assert len(sends) - before == 1, f"{method} {path}"
+        finally:
+            connection.close()
+        assert sends and all(sends), "a reply left without TCP_NODELAY"
+
+    def test_keep_alive_round_trips_do_not_stall(self, service_stack):
+        # The delayed-ACK stall costs >= 40 ms a reply, so 50 round
+        # trips with it take >= 2 s; without it, a few milliseconds.
+        _, client = service_stack
+        connection = keep_alive(client)
+        try:
+            exchange(connection, "GET", "/healthz")  # connect
+            start = time.perf_counter()
+            for _ in range(50):
+                assert exchange(connection, "GET", "/healthz") == (
+                    200, {"ok": True}
+                )
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 1.0, f"50 keep-alive round trips took {elapsed:.2f} s"
+
+    def test_expect_100_continue_is_answered_before_the_body(
+        self, service_stack
+    ):
+        # The interim reply must not wait in the reply buffer: the
+        # client sends the body only after it arrives.
+        _, client = service_stack
+        port = port_of(client)
+        body = json.dumps(PAYLOAD).encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /submit HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+            )
+            interim = sock.recv(1024)
+            assert interim.startswith(b"HTTP/1.1 100"), interim
+            sock.sendall(body)
+            assert sock.recv(1024).startswith(b"HTTP/1.1 202")
+
+
+class TestAdmission:
+    def test_fully_cached_sweep_is_complete_on_the_first_poll(
+        self, service_stack, monkeypatch
+    ):
+        service, client = service_stack
+        first = client.submit_one(dict(PAYLOAD))
+        client.wait_for_sweep(first["sweep_id"], timeout=60)
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(journal_module.os, "fsync", counting_fsync)
+        connection = keep_alive(client)
+        try:
+            status, ticket = exchange(
+                connection, "POST", "/submit", dict(PAYLOAD)
+            )
+            assert status == 202
+            status, snapshot = exchange(
+                connection, "GET", ticket["status_url"]
+            )  # no sleep between submit and poll
+        finally:
+            connection.close()
+        digest = spec_hash(PAYLOAD)
+        assert snapshot["complete"] is True
+        assert snapshot["cells"][digest]["cache_hit"] is True
+        # Sweep record, hit and sweep-done: one append, one fsync.
+        assert len(fsyncs) == 1
+        record = service.journal.replay()[ticket["sweep_id"]]
+        assert record.complete
+        assert record.done[digest]["cache_hit"] is True
+        assert service.scheduler.counters["runs_computed"] == 1
+
+
+class TestResultAddress:
+    @pytest.mark.parametrize(
+        "name",
+        ["../victim", "..%2Fvictim", "..%2fvictim", "A" * 64, "a" * 63,
+         "a" * 65, "g" * 64, "a" * 64 + "?x=1"],
+    )
+    def test_non_hash_is_a_404_that_touches_no_file_or_counter(
+        self, service_stack, tmp_path, name
+    ):
+        # A name that is not a hash never becomes a path: ../victim
+        # would resolve to <state_dir>/../victim.json, fail
+        # verification and be unlinked.
+        service, client = service_stack
+        victim = tmp_path / "victim.json"
+        victim.write_text('{"keep": true}\n')
+        connection = keep_alive(client)
+        try:
+            status, _ = exchange(connection, "GET", f"/result/{name}")
+        finally:
+            connection.close()
+        assert status == 404
+        assert victim.read_text() == '{"keep": true}\n'
+        assert service.cache.stats() == {
+            "hits": 0, "misses": 0, "corruptions": 0
+        }
 
 
 class TestDegradation:
