@@ -29,7 +29,7 @@ from repro.graphs import bipartite_ring, ring_based
 from repro.harness import (
     RANDOM_6X,
     ExperimentSpec,
-    SlowdownSpec,
+    ScenarioSpec,
     render_table,
     run_spec,
     svm_workload,
@@ -85,8 +85,8 @@ def main() -> None:
         ),
     ]
 
-    for env_label, slowdown in (
-        ("homogeneous", SlowdownSpec()),
+    for env_label, scenario in (
+        ("homogeneous", ScenarioSpec()),
         ("random 6x slowdown", RANDOM_6X),
     ):
         rows = []
@@ -97,7 +97,7 @@ def main() -> None:
                 name=label,
                 workload=workload,
                 topology=topo,
-                slowdown=slowdown,
+                scenario=scenario,
                 max_iter=iters,
                 seed=5,
                 **options,

@@ -33,7 +33,7 @@ from repro.graphs import (
 )
 from repro.harness import (
     ExperimentSpec,
-    SlowdownSpec,
+    ScenarioSpec,
     cnn_workload,
     render_table,
     run_spec,
@@ -65,10 +65,9 @@ def main() -> None:
         inter=Link(latency=2e-4, bandwidth=125.0),
     )
     # Machines hosting 3 workers are more contended than the 2-worker one.
-    load = SlowdownSpec(
-        kind="deterministic",
-        workers={w: 1.5 for w in range(8) if machine_of[w] in (0, 1)},
-    )
+    load = ScenarioSpec("straggler", {
+        "workers": {w: 1.5 for w in range(8) if machine_of[w] in (0, 1)},
+    })
 
     graphs = {
         "ring(8)": ring(8),
@@ -85,7 +84,7 @@ def main() -> None:
                 name=label,
                 workload=workload,
                 topology=topology,
-                slowdown=load,
+                scenario=load,
                 max_iter=iters,
                 seed=3,
                 links=links,

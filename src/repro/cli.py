@@ -31,9 +31,11 @@ Commands:
 
 ``train --scenario`` accepts any scenario family
 (:mod:`repro.scenarios.registry`) with ``--scenario-param key=value``
-knobs; the legacy ``--slowdown`` flags cover the paper's two recipes
-with explicit ``--slowdown-factor`` / ``--slowdown-prob`` /
-``--stragglers`` controls.
+knobs (``repro scenarios`` lists each family's keys).  The paper's two
+recipes are ``--scenario random`` (6x at p = 1/n; override with
+``--scenario-param factor=3 --scenario-param probability=0.25``) and
+``--scenario straggler`` (worker 0 at 4x; a multi-straggler map is
+``--scenario-param workers='{"0": 4, "3": 2}'``).
 
 ``train --compression`` accepts any scheme from the compression
 registry (:mod:`repro.compression`) with ``--compression-param
@@ -46,7 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.config import (
     STANDARD,
@@ -56,7 +58,7 @@ from repro.core.config import (
 )
 from repro.graphs import by_name as graph_by_name
 from repro.graphs import spectral_gap
-from repro.harness import ALL_FIGURES, ExperimentSpec, SlowdownSpec
+from repro.harness import ALL_FIGURES, ExperimentSpec
 from repro.harness.ablations import ALL_ABLATIONS
 from repro.harness.parallel import set_default_jobs
 from repro.harness.spec import run_spec
@@ -175,59 +177,6 @@ def _compression_param(pair: str):
     return key, value
 
 
-def _stragglers_arg(text: str) -> Dict[int, float]:
-    """Parse a ``wid:factor,wid:factor`` multi-straggler map."""
-    workers: Dict[int, float] = {}
-    try:
-        for part in text.split(","):
-            wid, separator, factor = part.partition(":")
-            if not separator:
-                raise ValueError(part)
-            workers[int(wid)] = float(factor)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--stragglers needs wid:factor[,wid:factor...], got {text!r}"
-        )
-    return workers
-
-
-def _train_slowdown(args: argparse.Namespace) -> SlowdownSpec:
-    """The legacy --slowdown flags, with every SlowdownSpec knob exposed.
-
-    Knobs that cannot apply to the selected kind are an error, not a
-    silent no-op — `--stragglers` without `--slowdown straggler` must
-    not quietly run a clean cluster.
-    """
-    if args.stragglers is not None and args.slowdown != "straggler":
-        raise SystemExit("--stragglers needs --slowdown straggler")
-    if args.stragglers is not None and args.slowdown_factor is not None:
-        raise SystemExit(
-            "--stragglers already fixes per-worker factors; drop "
-            "--slowdown-factor"
-        )
-    if args.slowdown_prob is not None and args.slowdown != "random":
-        raise SystemExit("--slowdown-prob needs --slowdown random")
-    if args.slowdown_factor is not None and args.slowdown == "none":
-        raise SystemExit(
-            "--slowdown-factor needs --slowdown random or straggler"
-        )
-    if args.slowdown == "random":
-        factor = 6.0 if args.slowdown_factor is None else args.slowdown_factor
-        return SlowdownSpec(
-            kind="random", factor=factor, probability=args.slowdown_prob
-        )
-    if args.slowdown == "straggler":
-        if args.stragglers:
-            workers = args.stragglers
-        else:
-            factor = (
-                4.0 if args.slowdown_factor is None else args.slowdown_factor
-            )
-            workers = {0: factor}
-        return SlowdownSpec(kind="deterministic", workers=workers)
-    return SlowdownSpec()
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     workload = workload_by_name(args.workload, args.preset)
     topology = graph_by_name(args.graph, args.workers)
@@ -240,18 +189,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
     elif args.compression_param:
         raise SystemExit("--compression-param needs --compression")
-    scenario = None
+    scenario = ScenarioSpec()
     if args.scenario:
-        if args.slowdown != "none":
-            raise SystemExit(
-                "--scenario and --slowdown are mutually exclusive; the "
-                "scenario registry covers the --slowdown recipes "
-                "(families 'random' and 'straggler')"
-            )
         scenario = ScenarioSpec(args.scenario, dict(args.scenario_param or []))
     elif args.scenario_param:
         raise SystemExit("--scenario-param needs --scenario")
-    slowdown = _train_slowdown(args)
 
     spec = ExperimentSpec(
         name="cli",
@@ -259,7 +201,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         topology=topology,
         protocol=args.protocol,
         config=_build_config(args) if args.protocol == "hop" else STANDARD,
-        slowdown=slowdown,
         scenario=scenario,
         max_iter=args.iterations,
         seed=args.seed,
@@ -335,6 +276,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             name += "  [not universal: excluded from the conformance matrix]"
         print(f"* {name}")
         print(f"    {row['summary']}")
+        print(f"    params: {', '.join(row['params']) or 'none'}")
         print(f"    [{row['paper']}]")
     return 0
 
@@ -585,26 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--max-skip", type=int, default=10)
     train.add_argument("--trigger-lag", type=int, default=2)
     train.add_argument(
-        "--slowdown", default="none", choices=("none", "random", "straggler")
-    )
-    train.add_argument(
-        "--slowdown-factor", type=float, default=None,
-        help="slowdown multiplier (default: 6 for random, 4 for straggler)",
-    )
-    train.add_argument(
-        "--slowdown-prob", type=float, default=None,
-        help="random slowdown probability per iteration (default: 1/n)",
-    )
-    train.add_argument(
-        "--stragglers", type=_stragglers_arg, default=None,
-        help="multi-straggler map 'wid:factor,wid:factor' "
-             "(straggler slowdown only)",
-    )
-    train.add_argument(
         "--scenario", default=None,
         choices=tuple(registered_scenarios(include_aliases=True)),
-        help="scenario family (see `python -m repro scenarios`); "
-             "mutually exclusive with --slowdown",
+        help="scenario family (see `python -m repro scenarios`), e.g. "
+             "the paper's 'random' (6x at p=1/n) or 'straggler' "
+             "(worker 0 at 4x)",
     )
     train.add_argument(
         "--scenario-param", action="append", type=_scenario_param,

@@ -72,8 +72,6 @@ class HopCluster(ProtocolCluster):
         machines: Optional worker -> machine placement; co-located
             workers then share their host's uplink NIC.
         machine_uplink: The shared per-machine uplink.
-        crash_at: ``{worker: iteration}`` fail-stop injection (hop
-            only); legacy spelling for permanent ``crash_events``.
         crash_events: ``{worker: CrashEvent}`` scenario fault injection
             (hop only): permanent fail-stop or crash-restart with
             neighbor re-sync.
@@ -109,7 +107,6 @@ class HopCluster(ProtocolCluster):
         trace_channels=None,
         machines: Optional[Sequence[int]] = None,
         machine_uplink: Optional[Link] = None,
-        crash_at: Optional[Dict[int, int]] = None,
         crash_events: Optional[Dict[int, CrashEvent]] = None,
         message_loss=None,
         churn=None,
@@ -156,16 +153,9 @@ class HopCluster(ProtocolCluster):
         self.machine_uplink = machine_uplink or Link(
             latency=2e-4, bandwidth=125.0
         )
-        if (crash_at or crash_events) and protocol != "hop":
+        if crash_events and protocol != "hop":
             raise ValueError("crash injection is only supported for hop")
-        if crash_at and crash_events:
-            raise ValueError("pass crash_at or crash_events, not both")
-        self.crash_at = dict(crash_at or {})
         self.crash_events: Dict[int, CrashEvent] = dict(crash_events or {})
-        for wid, iteration in self.crash_at.items():
-            self.crash_events[wid] = CrashEvent(
-                worker=wid, at_iteration=iteration
-            )
         self.message_loss = message_loss
         if churn is not None and churn.empty:
             churn = None

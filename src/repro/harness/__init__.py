@@ -51,14 +51,8 @@ from repro.harness.parallel import (
     run_specs,
     set_default_jobs,
 )
-from repro.harness.spec import (
-    RANDOM_6X,
-    ExperimentSpec,
-    SlowdownSpec,
-    deterministic_straggler,
-    run_spec,
-)
-from repro.scenarios import ScenarioSpec
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.scenarios import RANDOM_6X, ScenarioSpec, deterministic_straggler
 from repro.harness.ablations import ALL_ABLATIONS
 from repro.harness.io import (
     figure_to_dict,
@@ -91,7 +85,6 @@ __all__ = [
     "PRESETS",
     "RANDOM_6X",
     "ScenarioSpec",
-    "SlowdownSpec",
     "Workload",
     "binned_loss_curve",
     "binned_loss_vs_steps",

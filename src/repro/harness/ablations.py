@@ -35,12 +35,9 @@ from repro.graphs import bipartite_ring, ring_based
 from repro.harness.figures import FigureResult, _scale
 from repro.harness.results import final_smoothed_loss, wall_time_speedup
 from repro.harness.parallel import run_specs
-from repro.harness.spec import (
-    RANDOM_6X,
-    ExperimentSpec,
-    deterministic_straggler,
-)
+from repro.harness.spec import ExperimentSpec
 from repro.harness.workloads import by_name
+from repro.scenarios import RANDOM_6X, deterministic_straggler
 
 
 def ablation_stale_reduce(
@@ -64,7 +61,7 @@ def ablation_stale_reduce(
             config=staleness_config(
                 staleness=5, max_ig=8, stale_reduce=flavor
             ),
-            slowdown=RANDOM_6X,
+            scenario=RANDOM_6X,
             max_iter=max_iter,
             seed=run_seed,
         )
@@ -165,7 +162,7 @@ def ablation_max_ig(
             workload,
             ring_based(n),
             config=backup_config(n_backup=1, max_ig=max_ig),
-            slowdown=straggler,
+            scenario=straggler,
             max_iter=max_iter,
             seed=seed,
         )
@@ -212,7 +209,7 @@ def ablation_queue_impl(
             workload,
             ring_based(n),
             config=HopConfig(queue_impl=impl, max_ig=4),
-            slowdown=RANDOM_6X,
+            scenario=RANDOM_6X,
             max_iter=max_iter,
             seed=seed,
         )
@@ -260,7 +257,7 @@ def ablation_vs_adpsgd(
             workload,
             ring_based(n),
             config=backup_config(n_backup=1, max_ig=4),
-            slowdown=RANDOM_6X,
+            scenario=RANDOM_6X,
             max_iter=max_iter,
             seed=seed,
         ),
@@ -269,7 +266,7 @@ def ablation_vs_adpsgd(
             workload,
             bipartite_ring(n),
             protocol="adpsgd",
-            slowdown=RANDOM_6X,
+            scenario=RANDOM_6X,
             max_iter=max_iter,
             seed=seed,
         ),
@@ -325,7 +322,7 @@ def ablation_partial_groups(
             ring_based(n),
             protocol="partial-allreduce",
             static_groups=static,
-            slowdown=straggler,
+            scenario=straggler,
             max_iter=max_iter,
             seed=seed,
         )

@@ -48,17 +48,16 @@ from repro.harness.results import (
     wall_time_speedup,
 )
 from repro.harness.parallel import run_specs
-from repro.harness.spec import (
-    RANDOM_6X,
-    ExperimentSpec,
-    SlowdownSpec,
-    deterministic_straggler,
-    run_spec,
-)
+from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.workloads import Workload, by_name
 from repro.compression import CompressionSpec
 from repro.net.links import Link, cluster_links, uniform_links
-from repro.scenarios import ScenarioSpec, registered_scenarios
+from repro.scenarios import (
+    RANDOM_6X,
+    ScenarioSpec,
+    deterministic_straggler,
+    registered_scenarios,
+)
 
 
 @dataclass
@@ -126,13 +125,13 @@ def fig12_heterogeneity(
             name=f"{label}/{slow_label}",
             workload=workload,
             topology=topology,
-            slowdown=slowdown,
+            scenario=scenario,
             max_iter=max_iter,
             seed=seed,
         )
         for label, topology in graphs
-        for slow_label, slowdown in (
-            ("clean", SlowdownSpec()),
+        for slow_label, scenario in (
+            ("clean", ScenarioSpec()),
             ("slowdown", RANDOM_6X),
         )
     }
@@ -193,7 +192,7 @@ def fig13_vs_ps(
             "hop-slow",
             workload,
             topology,
-            slowdown=RANDOM_6X,
+            scenario=RANDOM_6X,
             max_iter=max_iter,
             seed=seed,
         ),
@@ -250,7 +249,7 @@ def _backup_runs(
             workload=workload,
             topology=topology,
             config=config,
-            slowdown=RANDOM_6X,
+            scenario=RANDOM_6X,
             max_iter=max_iter,
             seed=seed,
         )
@@ -352,7 +351,7 @@ def fig16_iteration_speed(
             workload,
             topology,
             config=config,
-            slowdown=RANDOM_6X,
+            scenario=RANDOM_6X,
             max_iter=max_iter,
             seed=seed,
         )
@@ -405,7 +404,7 @@ def fig17_staleness(
             workload,
             topology,
             config=config,
-            slowdown=RANDOM_6X,
+            scenario=RANDOM_6X,
             max_iter=max_iter,
             seed=seed,
         )
@@ -459,7 +458,7 @@ def fig18_skip_duration(
         ),
         "straggler/no_skip": ExperimentSpec(
             "no-skip", workload, topology, config=base_config,
-            slowdown=straggler, max_iter=max_iter, seed=seed,
+            scenario=straggler, max_iter=max_iter, seed=seed,
         ),
         "straggler/skip": ExperimentSpec(
             "skip", workload, topology,
@@ -467,7 +466,7 @@ def fig18_skip_duration(
                 n_backup=1, max_ig=5,
                 skip=SkipConfig(max_skip=10, trigger_lag=2),
             ),
-            slowdown=straggler, max_iter=max_iter, seed=seed,
+            scenario=straggler, max_iter=max_iter, seed=seed,
         ),
     })
     no_skip_ratio = straggler_slowdown_ratio(
@@ -540,7 +539,7 @@ def fig19_skip_convergence(
     runs = run_specs({
         label: ExperimentSpec(
             label, workload, topology, config=config,
-            slowdown=straggler, max_iter=max_iter, seed=seed,
+            scenario=straggler, max_iter=max_iter, seed=seed,
         )
         for label, config in configs.items()
     })
@@ -593,9 +592,7 @@ def fig20_topology(
     )
     # Machines hosting 3 workers are more loaded than the 2-worker one.
     crowded = {w for w in range(8) if machine_of[w] in (0, 1)}
-    load = SlowdownSpec(
-        kind="deterministic", workers={w: 1.5 for w in crowded}
-    )
+    load = ScenarioSpec("straggler", {"workers": {w: 1.5 for w in crowded}})
     settings = {
         "setting1": fig21_setting1(),
         "setting2": fig21_setting2(),
@@ -604,7 +601,7 @@ def fig20_topology(
     runs = run_specs({
         label: ExperimentSpec(
             label, workload, topology, config=STANDARD,
-            slowdown=load, max_iter=max_iter, seed=seed, links=links,
+            scenario=load, max_iter=max_iter, seed=seed, links=links,
             machines=machine_of,
         )
         for label, topology in settings.items()
@@ -720,15 +717,15 @@ def fig22_protocols(
     for label, options in contenders.items():
         options = dict(options)
         topo = options.pop("topology", topology)
-        for env_label, slowdown in (
-            ("clean", SlowdownSpec()),
+        for env_label, scenario in (
+            ("clean", ScenarioSpec()),
             ("slowdown", RANDOM_6X),
         ):
             specs[f"{label}/{env_label}"] = ExperimentSpec(
                 name=f"{label}/{env_label}",
                 workload=workload,
                 topology=topo,
-                slowdown=slowdown,
+                scenario=scenario,
                 max_iter=max_iter,
                 seed=seed,
                 **options,
@@ -1517,7 +1514,7 @@ def table1_gap_bounds(preset: str = "bench", seed: int = 0) -> FigureResult:
             topology,
             protocol=protocol,
             config=config,
-            slowdown=straggler,
+            scenario=straggler,
             max_iter=max_iter,
             seed=seed,
         )

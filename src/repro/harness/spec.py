@@ -10,79 +10,18 @@ and automatically supports every registered protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.compression import CompressionSpec
 from repro.core.config import STANDARD, HopConfig
 from repro.graphs.topology import Topology
-from repro.hetero.slowdown import (
-    DeterministicSlowdown,
-    NoSlowdown,
-    RandomSlowdown,
-    SlowdownModel,
-)
 from repro.harness.workloads import Workload
 from repro.net.links import LinkModel, uniform_links
 from repro.protocols.base import TrainingRun
 from repro.protocols.registry import build_cluster
 from repro.scenarios.spec import Scenario, ScenarioSpec
 from repro.sim.rng import RngStreams
-
-
-@dataclass(frozen=True)
-class SlowdownSpec:
-    """Serializable description of a heterogeneity recipe (legacy).
-
-    ``kind``: ``"none"``, ``"random"`` (paper: factor 6, p = 1/n), or
-    ``"deterministic"`` (paper: one worker, factor 4).
-
-    This predates the scenario engine and covers only the paper's two
-    recipes; :class:`~repro.scenarios.ScenarioSpec` subsumes it
-    (``ScenarioSpec.from_slowdown``) and adds bursty/tiered/diurnal
-    models, trace replay and fault injection.  Kept for backward
-    compatibility — every ``ExperimentSpec(slowdown=...)`` call site
-    continues to work unchanged.
-    """
-
-    kind: str = "none"
-    factor: float = 6.0
-    probability: Optional[float] = None  # default 1/n at build time
-    workers: Dict[int, float] = field(default_factory=dict)
-
-    def build(self, n_workers: int, streams: RngStreams) -> SlowdownModel:
-        if self.kind == "none":
-            return NoSlowdown()
-        if self.kind == "random":
-            probability = (
-                self.probability
-                if self.probability is not None
-                else 1.0 / n_workers
-            )
-            return RandomSlowdown(
-                streams, factor=self.factor, probability=probability
-            )
-        if self.kind == "deterministic":
-            return DeterministicSlowdown(dict(self.workers))
-        raise ValueError(f"unknown slowdown kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "none":
-            return "none"
-        if self.kind == "random":
-            p = "1/n" if self.probability is None else f"{self.probability:g}"
-            return f"random {self.factor:g}x (p={p})"
-        inner = ",".join(f"{w}:{f:g}x" for w, f in sorted(self.workers.items()))
-        return f"deterministic [{inner}]"
-
-
-#: The paper's random-slowdown recipe (Section 7.3.1).
-RANDOM_6X = SlowdownSpec(kind="random", factor=6.0)
-
-
-def deterministic_straggler(worker: int = 0, factor: float = 4.0) -> SlowdownSpec:
-    """The paper's deterministic-slowdown recipe (Section 7.3.5)."""
-    return SlowdownSpec(kind="deterministic", workers={worker: factor})
 
 
 @dataclass(frozen=True)
@@ -102,12 +41,13 @@ class ExperimentSpec:
             ``"momentum-tracking"``, plus anything registered by
             downstream code.
         config: Hop configuration (hop protocol only).
-        slowdown: Legacy heterogeneity recipe (the paper's two
-            Section 7.3 settings); ignored when ``scenario`` is set.
-        scenario: Scenario-engine recipe — any family in
+        scenario: Heterogeneity and faults — any family in
             :func:`repro.scenarios.registered_scenarios` (slowdown
-            models, trace replay, crashes, link flaps, message loss).
-            ``None`` falls back to ``slowdown``.
+            models, trace replay, crashes, link flaps, message loss,
+            churn).  The default ``ScenarioSpec()`` is a homogeneous
+            cluster; the paper's Section 7.3 recipes are
+            :data:`~repro.scenarios.spec.RANDOM_6X` and
+            :func:`~repro.scenarios.spec.deterministic_straggler`.
         max_iter: Iterations per worker.
         seed: Master seed.
         links: Optional network override (machine-aware deployments).
@@ -131,8 +71,7 @@ class ExperimentSpec:
     topology: Topology
     protocol: str = "hop"
     config: HopConfig = STANDARD
-    slowdown: SlowdownSpec = SlowdownSpec()
-    scenario: Optional[ScenarioSpec] = None
+    scenario: ScenarioSpec = ScenarioSpec()
     max_iter: int = 60
     seed: int = 0
     links: Optional[LinkModel] = None
@@ -151,15 +90,6 @@ class ExperimentSpec:
         """A modified copy (dataclasses.replace sugar)."""
         return replace(self, **changes)
 
-    # ------------------------------------------------------------------
-    # Scenario resolution (single source of truth for heterogeneity)
-    # ------------------------------------------------------------------
-    def resolved_scenario(self) -> ScenarioSpec:
-        """The scenario in effect: ``scenario`` or converted ``slowdown``."""
-        if self.scenario is not None:
-            return self.scenario
-        return ScenarioSpec.from_slowdown(self.slowdown)
-
     def built_scenario(self) -> Scenario:
         """The built scenario (models + fault plan), cached per spec.
 
@@ -172,7 +102,7 @@ class ExperimentSpec:
         """
         cached = getattr(self, "_built_scenario", None)
         if cached is None:
-            cached = self.resolved_scenario().build(
+            cached = self.scenario.build(
                 self.topology.n, RngStreams(self.seed).spawn("slowdown")
             )
             # Frozen dataclass: stash the cache without widening the

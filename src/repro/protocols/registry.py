@@ -174,8 +174,8 @@ def protocol_table() -> List[dict]:
 def spec_common_kwargs(spec: "ExperimentSpec") -> dict:
     """Constructor kwargs shared by every :class:`ProtocolCluster`.
 
-    Heterogeneity comes from the spec's *scenario* (the legacy
-    ``slowdown`` field converts transparently).  Protocols registered
+    Heterogeneity comes from the spec's *scenario*, its only
+    heterogeneity field.  Protocols registered
     with ``native_faults=True`` (hop: its workers enact crash/restart
     events themselves) get the pure slowdown model; for every other
     protocol the crash downtime is composed into the compute model as

@@ -21,9 +21,9 @@ Public API::
     print(run.fault_events)
 
 To add a family: write a builder ``f(params, n_workers, streams) ->
-Scenario`` and call :func:`register_scenario` — the CLI
-(``repro scenarios``, ``repro train --scenario``), the conformance
-matrix and the fig23 grid pick it up automatically.  See
+Scenario`` and call :func:`register_scenario` with the param keys it
+reads — the CLI (``repro scenarios``, ``repro train --scenario``), the
+conformance matrix and the fig23 grid pick it up automatically.  See
 ``docs/ARCHITECTURE.md`` for the worked example.
 """
 
@@ -54,7 +54,12 @@ from repro.scenarios.churn_trace import (
     record_churn_trace,
     spot_preemption_plan,
 )
-from repro.scenarios.spec import Scenario, ScenarioSpec
+from repro.scenarios.spec import (
+    RANDOM_6X,
+    Scenario,
+    ScenarioSpec,
+    deterministic_straggler,
+)
 from repro.scenarios.trace import (
     RecordingSlowdown,
     TraceSlowdown,
@@ -70,6 +75,7 @@ __all__ = [
     "LinkFlap",
     "MarkovSlowdown",
     "MessageLoss",
+    "RANDOM_6X",
     "RecordingSlowdown",
     "Scenario",
     "ScenarioInfo",
@@ -77,6 +83,7 @@ __all__ = [
     "StallOverlaySlowdown",
     "TieredSlowdown",
     "TraceSlowdown",
+    "deterministic_straggler",
     "diurnal_availability_plan",
     "get_scenario",
     "load_churn_trace",

@@ -74,7 +74,23 @@ def _nested_slowdown(params: dict, n_workers: int, streams: RngStreams):
 
 def _straggler_map(params: dict) -> Dict[int, float]:
     if "workers" in params:
-        return {int(w): float(f) for w, f in params["workers"].items()}
+        if "worker" in params or "factor" in params:
+            # The map already fixes every factor; a stray one would be
+            # silently dropped.
+            raise ValueError(
+                "straggler takes 'workers' or 'worker'/'factor', not both"
+            )
+        workers = params["workers"]
+        if not isinstance(workers, dict):
+            raise ValueError(
+                "straggler 'workers' must be an object {worker: factor}"
+            )
+        try:
+            return {int(w): float(f) for w, f in workers.items()}
+        except (TypeError, ValueError) as error:
+            raise ValueError(
+                f"straggler 'workers' must map worker ids to factors: {error}"
+            ) from error
     return {int(params.get("worker", 0)): float(params.get("factor", 4.0))}
 
 
@@ -409,6 +425,7 @@ def _build_churn_trace(params, n_workers, streams) -> Scenario:
 register_scenario(
     "none",
     _build_none,
+    params=(),
     summary="Homogeneous cluster: every iteration at base speed",
     paper=HOP_PAPER,
     aliases=("clean",),
@@ -417,6 +434,7 @@ register_scenario(
 register_scenario(
     "random",
     _build_random,
+    params=("factor", "probability"),
     summary="Per-iteration random slowdown (paper Section 7.3.1: "
     "6x at p=1/n)",
     paper=HOP_PAPER,
@@ -425,6 +443,7 @@ register_scenario(
 register_scenario(
     "straggler",
     _build_straggler,
+    params=("workers", "worker", "factor"),
     summary="Persistent per-worker stragglers (paper Section 7.3.5: "
     "one worker 4x)",
     paper=HOP_PAPER,
@@ -434,6 +453,7 @@ register_scenario(
 register_scenario(
     "bursty",
     _build_bursty,
+    params=("factor", "p_enter", "p_exit"),
     summary="Markov-modulated bursty stragglers whose identity shifts "
     "over time",
     paper="Prague / partial all-reduce — Luo et al. (arXiv:1909.08029)",
@@ -443,6 +463,7 @@ register_scenario(
 register_scenario(
     "tiered",
     _build_tiered,
+    params=("tier_factors", "tier_of_worker"),
     summary="Persistently tiered (whimpy/brawny) hardware",
     paper="HetPipe — Park et al. (arXiv:2005.14038)",
     aliases=("whimpy",),
@@ -451,6 +472,7 @@ register_scenario(
 register_scenario(
     "diurnal",
     _build_diurnal,
+    params=("period", "peak", "phase_shift"),
     summary="Periodic shared-cluster interference, phase-shifted per "
     "worker",
     paper="n/a (shared-cluster load curves)",
@@ -459,6 +481,7 @@ register_scenario(
 register_scenario(
     "trace",
     _build_trace,
+    params=("path", "factors", "default", "source"),
     summary="Bit-exact replay of recorded per-(worker, iteration) "
     "factors (JSON)",
     paper="n/a (trace-driven simulation)",
@@ -467,6 +490,7 @@ register_scenario(
 register_scenario(
     "crash",
     _build_crash,
+    params=("crashes", "worker", "at", "slowdown"),
     summary="Permanent fail-stop crash; requires native crash support "
     "(hop's backup workers, Section 3.4)",
     paper=HOP_PAPER,
@@ -475,6 +499,7 @@ register_scenario(
 register_scenario(
     "crash-restart",
     _build_crash_restart,
+    params=("worker", "at", "downtime_iters", "resync", "slowdown"),
     summary="Worker crash with downtime, then restart + parameter "
     "re-sync from a live neighbor",
     paper=HOP_PAPER + " (Section 3.4)",
@@ -483,6 +508,7 @@ register_scenario(
 register_scenario(
     "flaky-net",
     _build_flaky_net,
+    params=("start", "end", "factor", "edges", "slowdown"),
     summary="Temporary link degradation windows (latency and "
     "bandwidth scaled during flaps); bites protocols that consume "
     "spec links (hop, notify_ack, adpsgd, partial-allreduce, "
@@ -494,6 +520,7 @@ register_scenario(
 register_scenario(
     "churn",
     _build_churn,
+    params=("leaves", "joins", "cycles", "at", "policy", "resync", "slowdown"),
     summary="Scripted membership churn: worker leave/join with "
     "topology rewiring through the membership plane; elastic "
     "protocols only (all nine built-ins qualify)",
@@ -504,6 +531,9 @@ register_scenario(
 register_scenario(
     "churn-poisson",
     _build_churn_poisson,
+    params=(
+        "rate", "horizon", "rejoin_after", "min_active", "policy", "slowdown",
+    ),
     summary="Poisson membership churn: build-time-drawn leave "
     "(and optional rejoin) hazards per worker; elastic protocols only",
     paper="Moshpit SGD — Ryabinin et al. (arXiv:2103.03239)",
@@ -513,6 +543,11 @@ register_scenario(
 register_scenario(
     "churn-trace",
     _build_churn_trace,
+    params=(
+        "path", "events", "preset", "waves", "fraction", "restart_after",
+        "sample", "phase", "night", "stagger", "min_active", "policy",
+        "slowdown",
+    ),
     summary="Trace-driven membership churn: spot-preemption waves or "
     "diurnal off-windows, recorded to / replayed from JSON "
     "(repro.churn-trace/v1); elastic protocols only",
@@ -523,6 +558,7 @@ register_scenario(
 register_scenario(
     "lossy-net",
     _build_lossy_net,
+    params=("probability", "retransmit", "slowdown"),
     summary="Random message loss with retransmit-after-timeout "
     "(loss costs time, delivery stays eventual); bites the "
     "message-fabric protocols (hop, notify_ack) — others have no "

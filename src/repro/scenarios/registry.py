@@ -6,8 +6,9 @@ a stable name, and the harness, the CLI (``repro train --scenario``,
 ``repro scenarios``) and the conformance matrix resolve families
 through this one mapping.  Adding a scenario is: write a builder
 ``f(params, n_workers, streams) -> Scenario``, call
-:func:`register_scenario` — see ``docs/ARCHITECTURE.md`` for the
-worked example (mirrored by a test, like the protocol registry's).
+:func:`register_scenario` with the param keys the builder reads — see
+``docs/ARCHITECTURE.md`` for the worked example (mirrored by a test,
+like the protocol registry's).
 
 Families flagged ``universal=False`` cannot run under every protocol —
 permanent crashes deadlock synchronous protocols by construction — and
@@ -37,6 +38,9 @@ class ScenarioInfo:
     Attributes:
         name: Canonical registry name (the CLI / spec spelling).
         builder: ``f(params, n_workers, streams) -> Scenario``.
+        params: Every param key the builder reads.  A spec naming any
+            other key is rejected (``ScenarioSpec.check``) instead of
+            silently running the family's default.
         summary: One-line description for ``--help`` and docs tables.
         paper: Citation for the regime the family models.
         aliases: Alternative names resolving to the same builder.
@@ -47,6 +51,7 @@ class ScenarioInfo:
 
     name: str
     builder: Callable[[dict, int, "RngStreams"], "Scenario"]
+    params: tuple = ()
     summary: str = ""
     paper: str = ""
     aliases: tuple = ()
@@ -61,15 +66,21 @@ _builtins_loaded = False
 def register_scenario(
     name: str,
     builder: Callable[[dict, int, "RngStreams"], "Scenario"],
+    params: tuple = (),
     summary: str = "",
     paper: str = "",
     aliases: tuple = (),
     universal: bool = True,
 ) -> ScenarioInfo:
-    """Register (or re-register) a scenario builder under ``name``."""
+    """Register (or re-register) a scenario builder under ``name``.
+
+    ``params`` lists every param key ``builder`` reads; specs naming
+    any other key fail before the builder runs.
+    """
     info = ScenarioInfo(
         name=name,
         builder=builder,
+        params=tuple(params),
         summary=summary,
         paper=paper,
         aliases=tuple(aliases),
@@ -126,12 +137,13 @@ def get_scenario(name: str) -> ScenarioInfo:
 
 
 def scenario_table() -> List[dict]:
-    """``[{name, aliases, summary, paper, universal}, ...]`` rows."""
+    """``[{name, aliases, params, summary, paper, universal}, ...]`` rows."""
     _ensure_builtin_scenarios()
     return [
         {
             "name": info.name,
             "aliases": "/".join(info.aliases),
+            "params": list(info.params),
             "summary": info.summary,
             "paper": info.paper,
             "universal": info.universal,

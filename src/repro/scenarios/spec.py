@@ -7,24 +7,21 @@ through the scenario registry into a :class:`Scenario` — the built
 bundle of a slowdown model plus a fault plan that the protocol
 builders consume.
 
-Back compatibility: :class:`~repro.harness.spec.SlowdownSpec` (the
-pre-scenario heterogeneity description) converts losslessly via
-:meth:`ScenarioSpec.from_slowdown`; ``ExperimentSpec`` accepts either.
+The paper's two heterogeneity recipes are plain specs of the
+``random`` and ``straggler`` families: :data:`RANDOM_6X` and
+:func:`deterministic_straggler`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from repro.hetero.slowdown import SlowdownModel
 from repro.net.links import LinkModel
 from repro.scenarios.faults import FaultPlan, MessageLoss, StallOverlaySlowdown
-from repro.scenarios.registry import get_scenario
+from repro.scenarios.registry import ScenarioInfo, get_scenario
 from repro.sim.rng import RngStreams
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.harness.spec import SlowdownSpec
 
 
 @dataclass
@@ -87,8 +84,44 @@ class ScenarioSpec:
     family: str = "none"
     params: Dict[str, object] = field(default_factory=dict)
 
-    def build(self, n_workers: int, streams: RngStreams) -> Scenario:
+    def check(self) -> ScenarioInfo:
+        """Resolve the family and reject param keys it does not read.
+
+        Recurses into a fault family's nested ``slowdown`` recipe, so a
+        typo anywhere in the spec fails before anything is built.
+
+        Raises:
+            ValueError: unknown family, a malformed nested recipe, or an
+                unknown param key (the message names the accepted keys).
+        """
+        if not isinstance(self.family, str):
+            raise ValueError("scenario family must be a string")
         info = get_scenario(self.family)
+        unknown = sorted(set(self.params) - set(info.params))
+        if unknown:
+            raise ValueError(
+                f"unknown param(s) {unknown} for scenario {info.name!r}; "
+                f"accepted: {', '.join(info.params) or 'none'}"
+            )
+        nested = self.params.get("slowdown")
+        if nested is not None:
+            # Nested recipes arrive from /submit as raw JSON: check the
+            # shape here so a bad one is a ValueError, not a crash in
+            # from_dict, and a typo'd field is not silently dropped.
+            if not (isinstance(nested, dict) and "family" in nested):
+                raise ValueError(
+                    'nested slowdown must be {"family": ..., "params": {...}}'
+                )
+            extra = sorted(set(nested) - {"family", "params"})
+            if extra:
+                raise ValueError(f"unknown scenario field(s) {extra}")
+            if not isinstance(nested.get("params") or {}, dict):
+                raise ValueError("scenario params must be an object")
+            ScenarioSpec.from_dict(nested).check()
+        return info
+
+    def build(self, n_workers: int, streams: RngStreams) -> Scenario:
+        info = self.check()
         return info.builder(dict(self.params), n_workers, streams)
 
     def describe(self) -> str:
@@ -109,25 +142,19 @@ class ScenarioSpec:
     def from_dict(cls, payload: dict) -> "ScenarioSpec":
         return cls(
             family=payload["family"],
-            params=_restore_params(payload.get("params", {})),
+            params=_restore_params(payload.get("params") or {}),
         )
 
-    # ------------------------------------------------------------------
-    # Back compatibility with SlowdownSpec
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_slowdown(cls, slowdown: "SlowdownSpec") -> "ScenarioSpec":
-        """Lossless conversion from the pre-scenario description."""
-        if slowdown.kind == "none":
-            return cls("none")
-        if slowdown.kind == "random":
-            params: Dict[str, object] = {"factor": slowdown.factor}
-            if slowdown.probability is not None:
-                params["probability"] = slowdown.probability
-            return cls("random", params)
-        if slowdown.kind == "deterministic":
-            return cls("straggler", {"workers": dict(slowdown.workers)})
-        raise ValueError(f"unknown slowdown kind {slowdown.kind!r}")
+
+#: The paper's random-slowdown recipe (Section 7.3.1): 6x at p = 1/n.
+RANDOM_6X = ScenarioSpec("random", {"factor": 6.0})
+
+
+def deterministic_straggler(
+    worker: int = 0, factor: float = 4.0
+) -> ScenarioSpec:
+    """The paper's deterministic-slowdown recipe (Section 7.3.5)."""
+    return ScenarioSpec("straggler", {"workers": {worker: factor}})
 
 
 def _jsonify_params(params: Dict[str, object]) -> Dict[str, object]:

@@ -34,7 +34,6 @@ from repro.harness.spec import ExperimentSpec
 from repro.harness.workloads import PRESETS, by_name as workload_by_name
 from repro.protocols.registry import get_protocol
 from repro.scenarios import ScenarioSpec
-from repro.scenarios.registry import get_scenario
 
 
 class SpecError(ValueError):
@@ -158,12 +157,14 @@ def _canonical_scenario(scenario) -> Optional[dict]:
     )
     unknown = sorted(set(scenario) - {"family", "params"})
     _require(not unknown, f"unknown scenario field(s) {unknown}")
-    try:
-        family = get_scenario(scenario["family"]).name
-    except ValueError as error:
-        raise SpecError(str(error)) from error
     params = scenario.get("params") or {}
     _require(isinstance(params, dict), "scenario params must be an object")
+    try:
+        # The same key check the build runs, so a typo is a 400 here
+        # rather than a second cache address for the default run.
+        family = ScenarioSpec(scenario["family"], params).check().name
+    except ValueError as error:
+        raise SpecError(str(error)) from error
     normalized = ScenarioSpec(family, dict(params)).to_dict()
     if normalized["family"] == "none" and not normalized["params"]:
         return None
@@ -220,7 +221,9 @@ def spec_from_dict(payload: dict) -> Tuple[ExperimentSpec, dict, str]:
         workload=workload_by_name(merged["workload"], merged["preset"]),
         topology=graph_by_name(merged["graph"], merged["workers"]),
         protocol=merged["protocol"],
-        scenario=ScenarioSpec.from_dict(scenario) if scenario else None,
+        scenario=(
+            ScenarioSpec.from_dict(scenario) if scenario else ScenarioSpec()
+        ),
         max_iter=merged["max_iter"],
         seed=merged["seed"],
         ps_backup=merged["ps_backup"],

@@ -28,6 +28,7 @@ from repro.graphs import ring, ring_based
 from repro.hetero import ComputeModel, DeterministicSlowdown
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
+from repro.scenarios import CrashEvent
 
 
 N_FEATURES = 16
@@ -38,6 +39,11 @@ def dataset():
     return synthetic_webspam(
         np.random.default_rng(0), n_train=256, n_test=64, n_features=N_FEATURES
     )
+
+
+def crash(at_iteration, worker=0):
+    """``crash_events`` for one permanent fail-stop crash."""
+    return {worker: CrashEvent(worker=worker, at_iteration=at_iteration)}
 
 
 def make_cluster(dataset, config, n=6, max_iter=30, slowdown=None, **kwargs):
@@ -65,7 +71,7 @@ class TestCrashInjection:
             dataset,
             backup_config(n_backup=1, max_ig=3),
             max_iter=20,
-            crash_at={0: crash_iteration},
+            crash_events=crash(crash_iteration),
         ).run()
         assert run.iterations_completed[0] == crash_iteration
 
@@ -77,7 +83,7 @@ class TestCrashInjection:
             dataset,
             backup_config(n_backup=1, max_ig=max_ig),
             max_iter=50,  # far beyond what the crash allows
-            crash_at={0: crash_iteration},
+            crash_events=crash(crash_iteration),
         ).run()
         topo = ring_based(6)
         for neighbor in topo.out_neighbors(0, include_self=False):
@@ -94,7 +100,7 @@ class TestCrashInjection:
             dataset,
             backup_config(n_backup=1, max_ig=4),
             max_iter=6,
-            crash_at={0: 3},
+            crash_events=crash(3),
         ).run()
         survivors = run.iterations_completed[1:]
         assert all(done == 6 for done in survivors)
@@ -112,12 +118,12 @@ class TestCrashInjection:
                 dataset,
                 STANDARD,
                 protocol="notify_ack",
-                crash_at={0: 2},
+                crash_events=crash(2),
             )
 
-    def test_negative_crash_iteration_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            make_cluster(dataset, STANDARD, crash_at={0: -1}).run()
+    def test_negative_crash_iteration_rejected(self):
+        with pytest.raises(ValueError, match="at_iteration must be >= 0"):
+            crash(-1)
 
     def test_backup_mode_survives_a_slow_but_alive_worker(self, dataset):
         """A 20x straggler (alive, not crashed) does not deadlock."""

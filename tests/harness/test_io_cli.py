@@ -15,6 +15,7 @@ from repro.harness.io import (
     save_figure,
     save_run,
 )
+from repro.hetero import DeterministicSlowdown, RandomSlowdown
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,7 @@ class TestCLI:
             [
                 "train",
                 "--mode", "backup",
-                "--slowdown", "straggler",
+                "--scenario", "straggler",
                 "--workers", "6",
                 "--iterations", "8",
             ]
@@ -145,74 +146,145 @@ class TestCLI:
 
 
 class TestCLISlowdownKnobs:
-    """--slowdown exposes every SlowdownSpec knob (factor, probability,
-    multi-worker straggler maps), not just hardcoded recipes."""
+    """--scenario random / straggler carry every knob of the paper's
+    two recipes (factor, probability, multi-worker straggler maps)."""
 
-    def _parse(self, *argv):
-        from repro.cli import build_parser
+    def _slowdown(self, monkeypatch, *argv):
+        """The slowdown model `repro train *argv` would run with."""
+        import repro.cli
 
-        return build_parser().parse_args(["train", *argv])
+        specs = []
 
-    def _spec_slowdown(self, *argv):
-        from repro.cli import _train_slowdown
+        def capture(spec):
+            specs.append(spec)
+            raise ValueError("captured")
 
-        return _train_slowdown(self._parse(*argv))
+        monkeypatch.setattr(repro.cli, "run_spec", capture)
+        with pytest.raises(SystemExit):
+            main(["train", *argv])
+        (spec,) = specs
+        return spec.built_scenario().slowdown
 
-    def test_random_defaults_match_paper(self):
-        slowdown = self._spec_slowdown("--slowdown", "random")
-        assert slowdown.kind == "random"
-        assert slowdown.factor == 6.0
-        assert slowdown.probability is None  # 1/n at build time
-
-    def test_random_factor_and_probability_override(self):
-        slowdown = self._spec_slowdown(
-            "--slowdown", "random",
-            "--slowdown-factor", "3.5",
-            "--slowdown-prob", "0.25",
+    def test_random_defaults_match_paper(self, monkeypatch):
+        slowdown = self._slowdown(
+            monkeypatch, "--workers", "16", "--scenario", "random"
         )
-        assert slowdown.factor == 3.5
+        assert isinstance(slowdown, RandomSlowdown)
+        assert slowdown.slow_factor == 6.0
+        assert slowdown.probability == pytest.approx(1 / 16)
+
+    def test_random_factor_and_probability_override(self, monkeypatch):
+        slowdown = self._slowdown(
+            monkeypatch,
+            "--scenario", "random",
+            "--scenario-param", "factor=3.5",
+            "--scenario-param", "probability=0.25",
+        )
+        assert slowdown.slow_factor == 3.5
         assert slowdown.probability == 0.25
 
-    def test_straggler_default_matches_paper(self):
-        slowdown = self._spec_slowdown("--slowdown", "straggler")
-        assert slowdown.kind == "deterministic"
-        assert slowdown.workers == {0: 4.0}
+    def test_straggler_default_matches_paper(self, monkeypatch):
+        slowdown = self._slowdown(monkeypatch, "--scenario", "straggler")
+        assert isinstance(slowdown, DeterministicSlowdown)
+        assert slowdown.factors == {0: 4.0}
 
-    def test_straggler_factor_override(self):
-        slowdown = self._spec_slowdown(
-            "--slowdown", "straggler", "--slowdown-factor", "9"
+    def test_straggler_factor_override(self, monkeypatch):
+        slowdown = self._slowdown(
+            monkeypatch,
+            "--scenario", "straggler",
+            "--scenario-param", "factor=9",
         )
-        assert slowdown.workers == {0: 9.0}
+        assert slowdown.factors == {0: 9.0}
 
-    def test_multi_worker_straggler_map(self):
-        slowdown = self._spec_slowdown(
-            "--slowdown", "straggler", "--stragglers", "0:4,3:2.5,5:6"
+    def test_multi_worker_straggler_map(self, monkeypatch):
+        slowdown = self._slowdown(
+            monkeypatch,
+            "--scenario", "straggler",
+            "--scenario-param", 'workers={"0": 4, "3": 2.5, "5": 6}',
         )
-        assert slowdown.workers == {0: 4.0, 3: 2.5, 5: 6.0}
+        assert slowdown.factors == {0: 4.0, 3: 2.5, 5: 6.0}
+
+    def _train_error(self, *argv):
+        """The one-line error `repro train *argv` exits with."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--workers", "6", "--iterations", "4", *argv])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: ")
+        assert "\n" not in message
+        return message
 
     def test_malformed_straggler_map_rejected(self):
-        with pytest.raises(SystemExit):
-            self._parse("--slowdown", "straggler", "--stragglers", "0=4")
+        """The old --stragglers spelling passed as a map is a clean
+        error, not a traceback."""
+        message = self._train_error(
+            "--scenario", "straggler", "--scenario-param", "workers=0:4"
+        )
+        assert "'workers' must be an object" in message
+        message = self._train_error(
+            "--scenario", "straggler",
+            "--scenario-param", 'workers={"0": [4]}',
+        )
+        assert "'workers' must map worker ids to factors" in message
 
     def test_knobs_without_matching_kind_are_an_error(self):
-        """--stragglers / --slowdown-prob must not silently run a
-        clean cluster when the matching --slowdown kind is missing."""
-        with pytest.raises(SystemExit):
-            self._spec_slowdown("--stragglers", "0:4")
-        with pytest.raises(SystemExit):
-            self._spec_slowdown("--slowdown-prob", "0.5")
-        with pytest.raises(SystemExit):
-            self._spec_slowdown(
-                "--slowdown", "straggler", "--slowdown-prob", "0.5"
+        """A knob the chosen family does not read must not silently run
+        that family's default."""
+        message = self._train_error(
+            "--scenario", "straggler", "--scenario-param", "probability=0.5"
+        )
+        assert "accepted: workers, worker, factor" in message
+        message = self._train_error(
+            "--scenario", "straggler",
+            "--scenario-param", 'workers={"0": 4}',
+            "--scenario-param", "factor=9",
+        )
+        assert "not both" in message
+
+    def test_out_of_range_straggler_is_an_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "train",
+                    "--workers", "6",
+                    "--iterations", "4",
+                    "--scenario", "straggler",
+                    "--scenario-param", 'workers={"9": 4}',
+                ]
             )
-        with pytest.raises(SystemExit):
-            self._spec_slowdown("--slowdown-factor", "2")
-        with pytest.raises(SystemExit):
-            self._spec_slowdown(
-                "--slowdown", "straggler",
-                "--stragglers", "0:4",
-                "--slowdown-factor", "9",
+        assert "out of range" in str(excinfo.value.code)
+
+    def test_unknown_scenario_param_is_a_one_line_error(self):
+        """A typo must not silently run the family's default."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "train",
+                    "--workers", "4",
+                    "--iterations", "4",
+                    "--scenario", "random",
+                    "--scenario-param", "probabilty=0.5",
+                ]
             )
+        message = str(excinfo.value.code)
+        assert message.startswith("error: ")
+        assert "\n" not in message
+        assert "'probabilty'" in message
+        assert "accepted: factor, probability" in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--slowdown", "random"],
+            ["--slowdown-factor", "2"],
+            ["--slowdown-prob", "0.5"],
+            ["--stragglers", "0:4"],
+        ],
+    )
+    def test_removed_slowdown_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", *argv])
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
     def test_scenario_param_without_scenario_is_an_error(self):
         with pytest.raises(SystemExit):
@@ -225,37 +297,15 @@ class TestCLISlowdownKnobs:
                 ]
             )
 
-    def test_scenario_and_slowdown_are_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "train",
-                    "--workers", "4",
-                    "--iterations", "4",
-                    "--scenario", "bursty",
-                    "--slowdown", "straggler",
-                ]
-            )
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "train",
-                    "--workers", "4",
-                    "--iterations", "4",
-                    "--scenario", "bursty",
-                    "--slowdown-factor", "9",
-                ]
-            )
-
     def test_train_runs_with_custom_knobs(self, capsys):
         code = main(
             [
                 "train",
                 "--workers", "6",
                 "--iterations", "6",
-                "--slowdown", "random",
-                "--slowdown-factor", "2.0",
-                "--slowdown-prob", "0.5",
+                "--scenario", "random",
+                "--scenario-param", "factor=2.0",
+                "--scenario-param", "probability=0.5",
             ]
         )
         assert code == 0
@@ -267,8 +317,8 @@ class TestCLISlowdownKnobs:
                 "train",
                 "--workers", "6",
                 "--iterations", "6",
-                "--slowdown", "straggler",
-                "--stragglers", "0:3,2:2",
+                "--scenario", "straggler",
+                "--scenario-param", 'workers={"0": 3, "2": 2}',
             ]
         )
         assert code == 0
@@ -297,7 +347,9 @@ class TestRegistryJsonContract:
     explicitly, never as an implied default."""
 
     PROTOCOL_FIELDS = {"name", "aliases", "summary", "paper", "elastic"}
-    SCENARIO_FIELDS = {"name", "aliases", "summary", "paper", "universal"}
+    SCENARIO_FIELDS = {
+        "name", "aliases", "params", "summary", "paper", "universal"
+    }
 
     def test_protocols_json_rows_declare_elastic(self, capsys):
         assert main(["protocols", "--json"]) == 0
@@ -322,3 +374,20 @@ class TestRegistryJsonContract:
         by_name = {row["name"]: row for row in rows}
         assert by_name["none"]["universal"] is True
         assert by_name["churn"]["universal"] is False
+
+    def test_scenarios_list_accepted_params(self, capsys):
+        """A recipe's knobs (factor=, probability=, workers=) are
+        discoverable from `repro scenarios` alone."""
+        assert main(["scenarios", "--json"]) == 0
+        by_name = {
+            row["name"]: row for row in json.loads(capsys.readouterr().out)
+        }
+        assert by_name["none"]["params"] == []
+        assert by_name["random"]["params"] == ["factor", "probability"]
+        assert set(by_name["straggler"]["params"]) == {
+            "workers", "worker", "factor"
+        }
+        assert main(["scenarios"]) == 0
+        out = capsys.readouterr().out
+        assert "params: factor, probability" in out
+        assert "params: none" in out

@@ -18,7 +18,8 @@ from repro.harness.parallel import (
     run_specs,
     set_default_jobs,
 )
-from repro.harness.spec import ExperimentSpec, RANDOM_6X
+from repro.harness.spec import ExperimentSpec
+from repro.scenarios import RANDOM_6X
 from repro.harness.workloads import by_name
 
 
@@ -35,7 +36,7 @@ def small_specs(n_specs=2, max_iter=6):
             f"series{i}",
             workload,
             ring(8),
-            slowdown=RANDOM_6X,
+            scenario=RANDOM_6X,
             max_iter=max_iter,
             seed=i,
         )

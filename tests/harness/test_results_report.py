@@ -41,7 +41,7 @@ def slow_run():
             "s",
             workload,
             ring_based(8),
-            slowdown=deterministic_straggler(0, 4.0),
+            scenario=deterministic_straggler(0, 4.0),
             max_iter=20,
             seed=0,
         )

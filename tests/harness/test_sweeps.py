@@ -36,7 +36,7 @@ def test_sweep_produces_one_row_per_value(base_spec):
 
 def test_sweep_max_ig_tolerance_under_straggler(base_spec):
     spec = base_spec.with_(
-        slowdown=deterministic_straggler(0, 4.0), max_iter=15
+        scenario=deterministic_straggler(0, 4.0), max_iter=15
     )
     rows = sweep_max_ig(spec, [1, 8])
     # Larger gap bound = weakly more tolerance = no slower.

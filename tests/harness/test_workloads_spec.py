@@ -7,7 +7,7 @@ from repro.graphs import ring, ring_based
 from repro.harness import (
     RANDOM_6X,
     ExperimentSpec,
-    SlowdownSpec,
+    ScenarioSpec,
     by_name,
     cnn_workload,
     deterministic_straggler,
@@ -50,31 +50,32 @@ class TestWorkloads:
         assert cnn_workload("smoke").target_loss > cnn_workload("paper").target_loss
 
 
-class TestSlowdownSpec:
-    def test_none(self):
-        model = SlowdownSpec().build(4, RngStreams(0))
-        assert isinstance(model, NoSlowdown)
+class TestPaperRecipes:
+    """The Section 7.3 recipes are plain random / straggler scenarios."""
+
+    def test_default_scenario_is_homogeneous(self):
+        spec = ExperimentSpec("t", svm_workload("smoke"), ring(4))
+        assert spec.scenario == ScenarioSpec()
+        assert isinstance(spec.built_scenario().slowdown, NoSlowdown)
 
     def test_random_defaults_probability_to_1_over_n(self):
-        model = RANDOM_6X.build(16, RngStreams(0))
+        model = RANDOM_6X.build(16, RngStreams(0)).slowdown
         assert isinstance(model, RandomSlowdown)
         assert model.probability == pytest.approx(1 / 16)
         assert model.slow_factor == 6.0
 
     def test_deterministic(self):
         spec = deterministic_straggler(worker=3, factor=4.0)
-        model = spec.build(8, RngStreams(0))
+        assert spec == ScenarioSpec("straggler", {"workers": {3: 4.0}})
+        model = spec.build(8, RngStreams(0)).slowdown
         assert isinstance(model, DeterministicSlowdown)
         assert model.factor(3, 0) == 4.0
+        assert model.factor(0, 0) == 1.0
 
     def test_describe(self):
-        assert SlowdownSpec().describe() == "none"
-        assert "6" in RANDOM_6X.describe()
-        assert "0:4" in deterministic_straggler().describe()
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SlowdownSpec(kind="quantum").build(2, RngStreams(0))
+        assert ScenarioSpec().describe() == "none"
+        assert RANDOM_6X.describe() == "random(factor=6.0)"
+        assert "0: 4.0" in deterministic_straggler().describe()
 
 
 class TestRunSpec:

@@ -40,6 +40,7 @@ class TestScenariosJson:
             assert set(row) == {
                 "name",
                 "aliases",
+                "params",
                 "summary",
                 "paper",
                 "universal",

@@ -6,7 +6,7 @@ import pytest
 
 from repro.graphs import bipartite_ring, ring_based
 from repro.harness import ExperimentSpec, run_spec, svm_workload
-from repro.harness.spec import deterministic_straggler
+from repro.scenarios import deterministic_straggler
 from repro.protocols.momentum_tracking import MomentumTrackingCluster
 from repro.protocols.partial_allreduce import PartialAllReduceCluster
 
@@ -59,7 +59,7 @@ class TestPartialAllReduce:
                     workload,
                     ring_based(8),
                     protocol=protocol,
-                    slowdown=straggler,
+                    scenario=straggler,
                     max_iter=8,
                     seed=0,
                 )

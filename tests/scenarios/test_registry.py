@@ -6,14 +6,14 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import ring_based
-from repro.harness import ExperimentSpec, SlowdownSpec, run_spec, svm_workload
-from repro.harness.spec import RANDOM_6X, deterministic_straggler
+from repro.harness import ExperimentSpec, run_spec, svm_workload
 from repro.scenarios import (
     Scenario,
     ScenarioSpec,
     get_scenario,
     register_scenario,
     registered_scenarios,
+    deterministic_straggler,
     scenario_table,
 )
 from repro.scenarios.registry import _REGISTRY
@@ -85,16 +85,67 @@ class TestScenarioSpec:
             ScenarioSpec("straggler", {"workers": {9: 4.0}}).build(4, streams)
         with pytest.raises(ValueError):
             ScenarioSpec("straggler", {"worker": -1}).build(4, streams)
+        with pytest.raises(ValueError, match="not both"):
+            ScenarioSpec(
+                "straggler", {"workers": {0: 4.0}, "factor": 9.0}
+            ).build(4, streams)
         with pytest.raises(SystemExit):
             main(
                 [
                     "train",
                     "--workers", "4",
                     "--iterations", "4",
-                    "--slowdown", "straggler",
-                    "--stragglers", "9:4",
+                    "--scenario", "straggler",
+                    "--scenario-param", 'workers={"9": 4}',
                 ]
             )
+
+    def test_unknown_param_names_accepted_keys(self):
+        """A misspelled knob must fail, not build the family default."""
+        streams = RngStreams(0)
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec("random", {"probabilty": 0.5}).build(8, streams)
+        message = str(excinfo.value)
+        assert "'probabilty'" in message
+        assert "'random'" in message
+        assert "accepted: factor, probability" in message
+        with pytest.raises(ValueError, match="accepted: none"):
+            ScenarioSpec("none", {"factor": 2.0}).build(8, streams)
+
+    def test_unknown_nested_slowdown_param_rejected(self):
+        nested = {"family": "random", "params": {"facter": 3.0}}
+        spec = ScenarioSpec("crash-restart", {"slowdown": nested})
+        with pytest.raises(ValueError, match="'facter'"):
+            spec.check()
+        with pytest.raises(ValueError, match="'facter'"):
+            spec.build(8, RngStreams(0))
+        with pytest.raises(ValueError, match="nested slowdown"):
+            ScenarioSpec("lossy-net", {"slowdown": "random"}).check()
+
+    def test_builders_read_only_declared_params(self):
+        """Every key a builder looks up on its default path is declared,
+        so the check never rejects a knob the builder would honour."""
+
+        class RecordingParams(dict):
+            def __init__(self):
+                super().__init__()
+                self.read = set()
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+            def __contains__(self, key):
+                self.read.add(key)
+                return super().__contains__(key)
+
+        for family in registered_scenarios():
+            info = get_scenario(family)
+            params = RecordingParams()
+            info.builder(params, 8, RngStreams(0).spawn("slowdown"))
+            assert params.read <= set(info.params), family
+        assert get_scenario("random").params == ("factor", "probability")
+        assert {"factors", "source"} <= set(get_scenario("trace").params)
 
     def test_serialization_round_trip(self):
         spec = ScenarioSpec(
@@ -104,41 +155,12 @@ class TestScenarioSpec:
         restored = ScenarioSpec.from_dict(payload)
         assert restored == spec
 
-    def test_from_slowdown_matches_legacy_factors(self):
-        """The converted scenario reproduces the legacy SlowdownSpec's
-        factors draw-for-draw (back compatibility)."""
-        for legacy in (
-            SlowdownSpec(),
-            RANDOM_6X,
-            SlowdownSpec(kind="random", factor=3.0, probability=0.25),
-            deterministic_straggler(worker=2, factor=5.0),
-        ):
-            streams_a = RngStreams(7).spawn("slowdown")
-            streams_b = RngStreams(7).spawn("slowdown")
-            old = legacy.build(8, streams_a)
-            new = ScenarioSpec.from_slowdown(legacy).build(8, streams_b)
-            for worker in range(8):
-                for k in range(20):
-                    assert new.slowdown.factor(worker, k) == old.factor(
-                        worker, k
-                    )
-
-    def test_spec_scenario_overrides_slowdown(self):
+    def test_straggler_recipe_drives_runs(self):
         spec = ExperimentSpec(
             "s",
             svm_workload("smoke"),
             ring_based(4),
-            slowdown=RANDOM_6X,
-            scenario=ScenarioSpec("none"),
-        )
-        assert spec.resolved_scenario().family == "none"
-
-    def test_legacy_slowdown_still_drives_runs(self):
-        spec = ExperimentSpec(
-            "s",
-            svm_workload("smoke"),
-            ring_based(4),
-            slowdown=deterministic_straggler(worker=0, factor=6.0),
+            scenario=deterministic_straggler(worker=0, factor=6.0),
             max_iter=6,
         )
         run = run_spec(spec)
@@ -181,6 +203,7 @@ class TestExtensionPoint:
         register_scenario(
             "gc-pause",
             build_gc_pause,
+            params=("every", "factor"),
             summary="periodic stop-the-world pauses on worker 0",
             paper="n/a",
         )

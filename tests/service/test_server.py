@@ -81,6 +81,15 @@ class TestEndpoints:
             # rather than after every retry in the pool.
             ({"protocol": "adpsgd", "workers": 16},
              "'ring_based(16)' is not bipartite"),
+            ({"scenario": {"family": "random",
+                           "params": {"probabilty": 0.5}}},
+             "accepted: factor, probability"),
+            ({"scenario": {"family": "crash-restart", "params": {
+                "slowdown": {"family": "random", "params": [1]}}}},
+             "scenario params must be an object"),
+            ({"scenario": {"family": "crash-restart", "params": {
+                "slowdown": {"family": {}}}}},
+             "scenario family must be a string"),
         ],
     )
     def test_bad_spec_is_a_400_with_the_validation_message(

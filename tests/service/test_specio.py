@@ -177,6 +177,25 @@ def test_none_scenario_and_compression_elide_to_defaults():
         ({"scenario": {"params": {}}}, "scenario must be"),
         ({"scenario": {"family": "none", "extra": 1}},
          "unknown scenario field"),
+        # A typo'd knob must not become a second cache address for the
+        # family default.
+        ({"scenario": {"family": "random", "params": {"probabilty": 0.5}}},
+         r"unknown param\(s\) \['probabilty'\] for scenario 'random'; "
+         "accepted: factor, probability"),
+        ({"scenario": {"family": "crash-restart", "params": {
+            "slowdown": {"family": "random", "params": {"facter": 3}}}}},
+         r"\['facter'\]"),
+        # Malformed nested recipes are 400s, not handler crashes.
+        ({"scenario": {"family": "crash-restart", "params": {
+            "slowdown": {"family": "random", "params": [1]}}}},
+         "scenario params must be an object"),
+        ({"scenario": {"family": "crash-restart", "params": {
+            "slowdown": {"family": {}}}}},
+         "scenario family must be a string"),
+        ({"scenario": {"family": {}}}, "scenario family must be a string"),
+        ({"scenario": {"family": "crash-restart", "params": {
+            "slowdown": {"family": "random", "param": {"factor": 3}}}}},
+         r"unknown scenario field\(s\) \['param'\]"),
         ({"compression": {"params": {}}}, "compression must be"),
         ([], "must be a JSON object"),
         ({"protocol": "adpsgd", "workers": 16}, "is not bipartite"),
@@ -191,6 +210,44 @@ def test_none_scenario_and_compression_elide_to_defaults():
 def test_invalid_payloads_raise_spec_error(payload, fragment):
     with pytest.raises(SpecError, match=fragment):
         canonical_spec(payload)
+
+
+def test_unknown_scenario_param_is_rejected_before_any_build(monkeypatch):
+    import dataclasses
+
+    from repro.scenarios.registry import _REGISTRY, get_scenario
+
+    def fail(*args):
+        raise AssertionError("validation must not build the scenario")
+
+    info = dataclasses.replace(get_scenario("random"), builder=fail)
+    monkeypatch.setitem(_REGISTRY, "random", info)
+    with pytest.raises(SpecError, match="probabilty"):
+        canonical_spec(
+            {"scenario": {"family": "random", "params": {"probabilty": 1}}}
+        )
+
+
+@pytest.mark.parametrize(
+    "payload,digest",
+    [
+        ({}, "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+        (
+            {"scenario": {"family": "random", "params": {
+                "factor": 3.0, "probability": 0.25}}},
+            "b29d67ee759b48fa40be7b307fc01118497408501ca10381127b69d7a68d4206",
+        ),
+        (
+            {"scenario": {"family": "straggler", "params": {
+                "workers": {"0": 4.0, "3": 2.0}}}},
+            "02dbbe597cfd17db2c13f0bcc04f71a6823c1e0e944471f24a12865c3bc14b59",
+        ),
+    ],
+)
+def test_cache_addresses_are_pinned(payload, digest):
+    """Existing cache entries stay reachable: the hash of a valid spec
+    does not move when the scenario plane changes shape."""
+    assert spec_hash(payload) == digest
 
 
 def test_unknown_registry_names_surface_registry_message():
